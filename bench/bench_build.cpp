@@ -6,11 +6,16 @@
 // 1/2/4/8 build threads (UseRealTime — the work happens on the solver's
 // pool). The parallel build is bit-identical to the sequential one (see
 // tests/determinism_test.cpp), so these rows are pure speed, not accuracy,
-// trade-offs.
+// trade-offs. Every row also carries the solver's phase timings as
+// sec_<phase> counters (mean seconds per build), so a build row reads layer
+// by layer: sample+bfs, landmark table, near-small Dijkstra, assembly.
 //
 // bench/run_benchmarks.sh (or the bench_json CMake target) serializes this
 // suite to BENCH_build.json at the repo root for cross-PR tracking; the CI
 // bench-smoke job runs only the *Small rows against a checked-in baseline.
+#include <map>
+#include <string>
+
 #include "bench_common.hpp"
 
 namespace {
@@ -23,11 +28,16 @@ void run_build(benchmark::State& state, const Graph& g, std::uint32_t sigma,
   const auto sources = spread_sources(g, sigma);
   Config cfg;
   cfg.landmark_rp = method;
-  cfg.collect_phase_timings = false;
   cfg.build_threads = static_cast<unsigned>(state.range(0));
+  std::map<std::string, double> phase_seconds;
   for (auto _ : state) {
     const MsrpResult res = solve_msrp(g, sources, cfg);
     benchmark::DoNotOptimize(res.stats().num_landmarks);
+    for (const auto& [name, secs] : res.stats().phase_seconds) phase_seconds[name] += secs;
+  }
+  for (const auto& [name, secs] : phase_seconds) {
+    state.counters["sec_" + name] =
+        benchmark::Counter(secs, benchmark::Counter::kAvgIterations);
   }
   state.counters["n"] = g.num_vertices();
   state.counters["m"] = g.num_edges();

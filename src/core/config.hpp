@@ -50,7 +50,6 @@ struct Config {
   LandmarkRpMethod landmark_rp = LandmarkRpMethod::kMmgPerPair;
   bool paper_constants = false;
   bool exact = false;
-  bool collect_phase_timings = true;
 
   // ---- execution knobs ----------------------------------------------------
   // These control HOW the build runs, never WHAT it computes: the parallel

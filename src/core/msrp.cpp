@@ -98,11 +98,11 @@ class MsrpEngine {
         result_.stats().near_small_aux_arcs += near_small[si]->aux_arcs();
       }
       auto t = timers.scope("assembly");
-      maybe_parallel_for(exec, chunks_per_source, [&](std::size_t c, std::size_t) {
+      maybe_parallel_for(exec, chunks_per_source, [&](std::size_t c, std::size_t slot) {
         const auto t_begin = static_cast<Vertex>(c * kAssemblyChunk);
         const Vertex t_end = std::min<Vertex>(n, t_begin + kAssemblyChunk);
-        assemble_source_rows(g_, si, *source_trees[si], *landmarks_, pool_, dsr,
-                             *near_small[si], params_, result_, t_begin, t_end);
+        assemble_source_rows(si, *source_trees[si], *landmarks_, pool_, dsr, *near_small[si],
+                             params_, result_, t_begin, t_end, scratches.slot(slot));
       });
       near_small[si].reset();  // free the per-source auxiliary graph early
     }
@@ -116,7 +116,7 @@ class MsrpEngine {
     for (std::uint32_t k = 0; k < landmarks_->num_levels(); ++k) {
       st.landmarks_per_level.push_back(landmarks_->level(k).size());
     }
-    if (cfg_.collect_phase_timings) st.phase_seconds = timers.totals();
+    st.phase_seconds = timers.totals();
     return std::move(result_);
   }
 

@@ -65,6 +65,10 @@ struct BuildScratch {
   };
   std::vector<DetourCand> eligible;
 
+  /// Assembly's tile of canonical paths: the path children of a few
+  /// consecutive targets, back to back (core/assembly.cpp).
+  std::vector<Vertex> tile_paths;
+
   /// Per-thread counters, merged into the engine's stats after each phase.
   MsrpStats stats;
 

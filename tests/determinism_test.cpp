@@ -6,6 +6,11 @@
 // executable form of that argument (and the TSan target for the build's
 // concurrency). Sharing one external pool across solves must not change
 // results either — that is how QueryService runs cold builds.
+//
+// GoldenDigest pins the snapshot content digests of four fixed instances
+// to values recorded before the assembly phase was rebuilt around its
+// per-landmark row kernel: any rewrite of the build must reproduce the old
+// rows bit for bit, not merely agree with itself across thread counts.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -118,6 +123,53 @@ TEST(Determinism, SharedExternalPoolMatchesSequential) {
     cfg.build_pool = &pool;
     const MsrpResult pooled = solve_msrp(g, sources, cfg);
     expect_identical(sequential, pooled, g, "pooled iter=" + std::to_string(iter));
+  }
+}
+
+struct GoldenCase {
+  const char* name;
+  Graph g;
+  std::vector<Vertex> sources;
+  Config cfg;
+  std::uint64_t digest;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  std::vector<GoldenCase> cases;
+  const std::vector<Vertex> grid_sources{0, 39, 820, 1599};
+
+  // Default constants: 2T = 80 covers the 40x40 grid's diameter of 78, so
+  // every edge is near and Algorithm 4 assembles every cell.
+  cases.push_back(
+      {"grid40-default", gen::grid(40, 40), grid_sources, Config{}, 0x393ee8800b6d2937ULL});
+
+  Rng er_rng(2048);
+  Graph er = gen::connected_avg_degree(2048, 8.0, er_rng);
+  const auto er_picks = er_rng.sample_without_replacement(2048, 4);
+  cases.push_back({"er2048-default", std::move(er),
+                   std::vector<Vertex>(er_picks.begin(), er_picks.end()), Config{},
+                   0x3dfb7899164d9376ULL});
+
+  // near_scale = 1: 2T = 40 < 78, so the far buckets (Algorithm 3) run.
+  // Undersampled so that some cells miss their witness (this digest is not
+  // the brute-force one): it pins the exact candidate sets, not just the
+  // true distances.
+  Config far;
+  far.near_scale = 1.0;
+  far.oversample = 0.1;
+  cases.push_back(
+      {"grid40-near1", gen::grid(40, 40), grid_sources, far, 0xe74cfb10c3be7e35ULL});
+
+  Config bk;
+  bk.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
+  cases.push_back({"grid16-bk", gen::grid(16, 16), {0, 100, 255}, bk, 0x112d1f4953082fffULL});
+  return cases;
+}
+
+TEST(Determinism, GoldenDigest) {
+  for (const GoldenCase& c : golden_cases()) {
+    const MsrpResult res = solve_msrp(c.g, c.sources, c.cfg);
+    EXPECT_EQ(service::Snapshot::capture(res).content_digest(), c.digest) << c.name;
   }
 }
 

@@ -39,16 +39,18 @@ void expect_exact(const Graph& g, const std::vector<Vertex>& sources,
 }
 
 /// Upper-bound sanity that must hold for ANY seed: results are lengths of
-/// genuine replacement paths, so they can never undershoot the truth.
-void expect_sound(const Graph& g, const std::vector<Vertex>& sources, const MsrpResult& got) {
-  const MsrpResult want = solve_msrp_brute_force(g, sources);
+/// genuine replacement paths, so they can never undershoot the brute-force
+/// truth `want`.
+void expect_sound(const Graph& g, const std::vector<Vertex>& sources, const MsrpResult& want,
+                  const MsrpResult& got, const std::string& tag) {
   for (const Vertex s : sources) {
     for (Vertex t = 0; t < g.num_vertices(); ++t) {
       const auto wrow = want.row(s, t);
       const auto grow = got.row(s, t);
       ASSERT_EQ(grow.size(), wrow.size());
       for (std::size_t i = 0; i < wrow.size(); ++i) {
-        EXPECT_GE(grow[i], wrow[i]) << "undershoot! s=" << s << " t=" << t << " pos=" << i;
+        EXPECT_GE(grow[i], wrow[i])
+            << "undershoot! " << tag << " s=" << s << " t=" << t << " pos=" << i;
       }
     }
   }
@@ -147,15 +149,37 @@ TEST(MsrpSoundness, NeverUndershootsAcrossManySeeds) {
   // seeds with NO oversampling, where misses (overshoot) are actually likely.
   Rng graph_rng(99);
   const Graph g = gen::path_with_chords(80, 20, graph_rng);
+  const std::vector<Vertex> sources{0, 40};
+  const MsrpResult want = solve_msrp_brute_force(g, sources);
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     Config cfg;
     cfg.seed = seed;
     cfg.oversample = 0.5;
     cfg.near_scale = 1.0;
-    const std::vector<Vertex> sources{0, 40};
-    expect_sound(g, sources, solve_msrp(g, sources, cfg));
+    const std::string tag = "seed=" + std::to_string(seed);
+    expect_sound(g, sources, want, solve_msrp(g, sources, cfg), tag + " mmg");
     cfg.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
-    expect_sound(g, sources, solve_msrp(g, sources, cfg));
+    expect_sound(g, sources, want, solve_msrp(g, sources, cfg), tag + " bk");
+  }
+}
+
+TEST(MsrpSoundness, GuardNeverUndershootsOnGrid) {
+  // Algorithm 4 must skip every landmark whose canonical rt path crosses e;
+  // a missed guard shows up as a cell below the truth. On a 24x24 grid many
+  // rt and st shortest paths overlap, which the small graphs above barely
+  // exercise. near_scale 1 also sends the far cells through Algorithm 3.
+  const Graph g = gen::grid(24, 24);
+  const std::vector<Vertex> sources{0, 155, 300, 551};
+  const MsrpResult want = solve_msrp_brute_force(g, sources);
+  for (const double near_scale : {1.0, 2.0}) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      Config cfg;
+      cfg.seed = seed;
+      cfg.oversample = 0.5;
+      cfg.near_scale = near_scale;
+      expect_sound(g, sources, want, solve_msrp(g, sources, cfg),
+                   "near_scale=" + std::to_string(near_scale) + " seed=" + std::to_string(seed));
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "tree/ancestry.hpp"
 #include "tree/bfs_tree.hpp"
 #include "tree/lca.hpp"
 
@@ -102,6 +103,37 @@ TEST(BfsTree, NonTreeEdgeHasNoChild) {
   int non_tree = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) non_tree += !t.is_tree_edge(g, e);
   EXPECT_EQ(non_tree, 1);
+}
+
+TEST(BfsTree, SharedPathEdgesAreTheAgreeingSuffix) {
+  // Canonical paths are the lexicographically first shortest paths, so two
+  // trees join any two vertices their paths to t share by the same subpath.
+  // Hence the edges of T_s's path to t that lie on T_r's path to t are a
+  // suffix: exactly the run, up from t, where T_r gives each path vertex
+  // T_s's parent edge. Algorithm 4's guard (core/assembly.cpp) relies on it.
+  Rng rng(0x5AFF1C5);
+  for (int iter = 0; iter < 16; ++iter) {
+    const Graph g = iter % 4 == 0   ? gen::grid(5 + iter % 5, 7 + iter)
+                    : iter % 4 == 1 ? gen::connected_gnp(60, 0.06, rng)
+                    : iter % 4 == 2 ? gen::path_with_chords(80, 12, rng)
+                                    : gen::connected_avg_degree(120, 3.0, rng);
+    const Vertex n = g.num_vertices();
+    for (int pair = 0; pair < 4; ++pair) {
+      const RootedTree ts(g, static_cast<Vertex>(rng.next_below(n)));
+      const RootedTree tr(g, static_cast<Vertex>(rng.next_below(n)));
+      for (Vertex t = 0; t < n; ++t) {
+        const std::vector<Vertex> path = ts.tree.path_to(t);
+        const std::vector<EdgeId> edges = ts.tree.path_edges(t);
+        std::size_t agree = edges.size();  // first position of the agreeing run
+        while (agree > 0 && tr.tree.parent_edge(path[agree]) == edges[agree - 1]) --agree;
+        for (std::size_t pos = 0; pos < edges.size(); ++pos) {
+          EXPECT_EQ(tr.edge_on_path_to(edges[pos], path[pos], path[pos + 1], t), pos >= agree)
+              << "iter=" << iter << " s=" << ts.root() << " r=" << tr.root() << " t=" << t
+              << " pos=" << pos;
+        }
+      }
+    }
+  }
 }
 
 TEST(BfsTree, OrderIsBfsOrder) {
