@@ -275,7 +275,7 @@ void BM_NetVitality(benchmark::State& state) {
   net::Client client(loopback_options());
   const auto batch = make_vitality_batch(static_cast<std::size_t>(state.range(0)), 17);
   for (auto _ : state) {
-    auto results = client.vitality_batch(batch);
+    auto results = client.batch<service::VitalityWorkload>(batch);
     benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -291,7 +291,7 @@ void BM_NetKFail(benchmark::State& state) {
   net::Client client(loopback_options());
   const auto batch = make_kfail_batch(static_cast<std::size_t>(state.range(0)), 18);
   for (auto _ : state) {
-    auto answers = client.kfail_batch(batch);
+    auto answers = client.batch<service::KFailWorkload>(batch);
     benchmark::DoNotOptimize(answers.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -2,9 +2,9 @@
 //
 // Rows: queries/sec for a fixed 100k-query batch as the worker-thread count
 // grows (the tentpole scaling claim: >= 2x at 4 threads on multicore),
-// snapshot vs. text (de)serialization speed, cold-load-to-first-answer for
-// the v1 varint decoder vs. the v2 zero-copy mmap path on a high-diameter
-// grid (the largest cells payload per vertex), and sync vs. async batch
+// snapshot vs. text (de)serialization speed, cold-load-to-first-answer of
+// the snapshot (buffered vs. zero-copy mmap) on a high-diameter grid (the
+// largest cells payload per vertex), and sync vs. async batch
 // serving: submit_batch() latency on a cold cache plus end-to-end
 // throughput when batches overlap on the pool.
 #include <cstdio>
@@ -85,11 +85,9 @@ BENCHMARK(BM_QueryBatchSharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // ------------------------------------------------------- cold-load latency ---
 
 // The cold-load rows use the highest-diameter workload: a square grid's
-// replacement table has ~n*sqrt(n) cells per source, so the v1 per-cell
-// varint decode dominates its load while the v2 path only touches the
-// O(n + m) metadata.
+// replacement table has ~n*sqrt(n) cells per source, while the v2 load
+// only has to touch the O(n + m) metadata.
 struct ColdLoadFiles {
-  std::string v1_path;
   std::string v2_path;
   service::Query probe;  // one valid query for "to-first-answer"
 };
@@ -102,13 +100,10 @@ const ColdLoadFiles& cold_load_files() {
     const service::Snapshot snap = service::Snapshot::capture(res);
     const std::string dir = std::filesystem::temp_directory_path().string();
     ColdLoadFiles f;
-    f.v1_path = dir + "/msrp_bench_cold.v1.snap";
     f.v2_path = dir + "/msrp_bench_cold.v2.snap";
-    snap.save(f.v1_path, service::SnapshotFormat::kV1);
     snap.save(f.v2_path, service::SnapshotFormat::kV2);
     f.probe = {sources[0], g.num_vertices() - 1, 0};
-    std::printf("# cold-load files: v1=%zu bytes v2=%zu bytes\n",
-                std::filesystem::file_size(f.v1_path), std::filesystem::file_size(f.v2_path));
+    std::printf("# cold-load file: v2=%zu bytes\n", std::filesystem::file_size(f.v2_path));
     return f;
   }();
   return files;
@@ -122,11 +117,6 @@ void cold_load_iteration(benchmark::State& state, const std::string& path,
     benchmark::DoNotOptimize(snap.avoiding(probe.s, probe.t, probe.e));
   }
 }
-
-void BM_ColdLoadToFirstAnswerV1(benchmark::State& state) {
-  cold_load_iteration(state, cold_load_files().v1_path, {});
-}
-BENCHMARK(BM_ColdLoadToFirstAnswerV1)->Unit(benchmark::kMillisecond);
 
 void BM_ColdLoadToFirstAnswerV2(benchmark::State& state) {
   cold_load_iteration(state, cold_load_files().v2_path, {.verify_cells = true});
@@ -224,11 +214,6 @@ void snapshot_round_trip(benchmark::State& state, service::SnapshotFormat format
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(image.size()));
 }
-
-void BM_SnapshotRoundTripV1(benchmark::State& state) {
-  snapshot_round_trip(state, service::SnapshotFormat::kV1);
-}
-BENCHMARK(BM_SnapshotRoundTripV1);
 
 void BM_SnapshotRoundTripV2(benchmark::State& state) {
   snapshot_round_trip(state, service::SnapshotFormat::kV2);

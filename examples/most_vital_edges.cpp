@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     net::Client client(copts);
     const net::RegisterAckFrame ack =
         client.register_graph(g.num_vertices(), g.edges(), std::vector<Vertex>{s});
-    results = client.vitality_batch(queries, ack.digest);
+    results = client.batch<service::VitalityWorkload>(queries, ack.digest);
   }
 
   const service::VitalityResult& top = results[0];

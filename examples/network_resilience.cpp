@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
     copts.connect_retries = 10;
     net::Client client(copts);
     const net::RegisterAckFrame ack = client.register_graph(g.num_vertices(), g.edges(), depots);
-    prices = client.vickrey_batch(audit, ack.digest);
-    stressed = client.kfail_batch(stress, ack.digest);
+    prices = client.batch<service::VickreyWorkload>(audit, ack.digest);
+    stressed = client.batch<service::KFailWorkload>(stress, ack.digest);
   }
 
   std::printf("city: %ux%u grid with a 2-bridge river, n=%u m=%u, depots: 3%s\n\n", rows,

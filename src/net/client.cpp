@@ -126,9 +126,6 @@ void Client::dial() {
   }
   decoder_ = FrameDecoder(opts_.max_frame_bytes);
   ready_.clear();
-  ready_vitality_.clear();
-  ready_vickrey_.clear();
-  ready_kfail_.clear();
   failed_.clear();
   busy_.clear();
   inflight_.clear();
@@ -137,13 +134,10 @@ void Client::dial() {
 
   // The handshake: the first frame on the wire must be a HELLO we can
   // speak. The version is checked from the leading u32 BEFORE the payload
-  // is decoded — a future version is allowed to change the HELLO layout,
-  // so a mismatch must surface as the version diagnostic, not as a decode
-  // error. Versions back to kMinProtocolVersion are accepted: a v2 frame
-  // with zero flags IS a v1 frame, so against an old server this client
-  // works until a registry call is made. Every failure path closes the
-  // socket (the constructor may be about to propagate, with no destructor
-  // coming).
+  // is decoded — a different version is allowed to change the HELLO
+  // layout, so a mismatch must surface as the version diagnostic, not as a
+  // decode error. Every failure path closes the socket (the constructor
+  // may be about to propagate, with no destructor coming).
   try {
     Frame frame = read_frame();
     if (frame.type != FrameType::kHello) {
@@ -158,11 +152,10 @@ void Client::dial() {
                                   (std::uint32_t{frame.payload[1]} << 8) |
                                   (std::uint32_t{frame.payload[2]} << 16) |
                                   (std::uint32_t{frame.payload[3]} << 24);
-    if (version < kMinProtocolVersion || version > kProtocolVersion) {
+    if (version != kProtocolVersion) {
       close_socket();
       throw std::runtime_error("net client: server speaks protocol version " +
                                std::to_string(version) + ", this client speaks " +
-                               std::to_string(kMinProtocolVersion) + ".." +
                                std::to_string(kProtocolVersion));
     }
     try {
@@ -184,8 +177,8 @@ void Client::reconnect() {
 }
 
 bool Client::try_resend() {
-  // Only idempotent batch traffic (QUERY_BATCH and the v3 workload frames)
-  // can be replayed: every in-flight id must have its frame bytes stored,
+  // Only idempotent batch traffic (the request frame of any workload) can
+  // be replayed: every in-flight id must have its frame bytes stored,
   // and no control call may be pending (REGISTER_GRAPH replayed twice
   // would build twice — and worse, a replay that half-succeeded is
   // unobservable).
@@ -197,9 +190,6 @@ bool Client::try_resend() {
   auto frames = std::move(pending_frames_);
   auto inflight = std::move(inflight_);
   auto ready = std::move(ready_);
-  auto ready_vitality = std::move(ready_vitality_);
-  auto ready_vickrey = std::move(ready_vickrey_);
-  auto ready_kfail = std::move(ready_kfail_);
   auto failed = std::move(failed_);
   auto busy = std::move(busy_);
   auto deadlines = std::move(wire_deadlines_);
@@ -211,9 +201,6 @@ bool Client::try_resend() {
   pending_frames_ = std::move(frames);
   inflight_ = std::move(inflight);
   ready_ = std::move(ready);
-  ready_vitality_ = std::move(ready_vitality);
-  ready_vickrey_ = std::move(ready_vickrey);
-  ready_kfail_ = std::move(ready_kfail);
   failed_ = std::move(failed);
   busy_ = std::move(busy);
   wire_deadlines_ = std::move(deadlines);  // absolute instants survive a re-dial
@@ -340,67 +327,6 @@ std::uint64_t Client::track_and_write(std::uint64_t id, std::vector<std::uint8_t
   return id;
 }
 
-void Client::require_v3(const char* opcode) const {
-  if (hello_.version >= 3) return;
-  throw std::runtime_error("net client: " + std::string(opcode) +
-                           " needs protocol version 3, but the server speaks version " +
-                           std::to_string(hello_.version));
-}
-
-void Client::require_v4(const char* opcode) const {
-  if (hello_.version >= 4) return;
-  throw std::runtime_error("net client: " + std::string(opcode) +
-                           " needs protocol version 4, but the server speaks version " +
-                           std::to_string(hello_.version));
-}
-
-std::uint64_t Client::send(std::span<const service::Query> queries,
-                           std::optional<std::uint64_t> digest,
-                           std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_query_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kAnswerBatch, queries.size(),
-                         deadline_ms);
-}
-
-std::uint64_t Client::send_vitality(std::span<const service::VitalityQuery> queries,
-                                    std::optional<std::uint64_t> digest,
-                                    std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  require_v3("VITALITY_BATCH");
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_vitality_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kVitalityAnswer, queries.size(),
-                         deadline_ms);
-}
-
-std::uint64_t Client::send_vickrey(std::span<const service::VickreyQuery> queries,
-                                   std::optional<std::uint64_t> digest,
-                                   std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  require_v3("VICKREY_BATCH");
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_vickrey_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kVickreyAnswer, queries.size(),
-                         deadline_ms);
-}
-
-std::uint64_t Client::send_kfail(std::span<const service::KFailQuery> queries,
-                                 std::optional<std::uint64_t> digest,
-                                 std::optional<std::uint32_t> deadline_ms) {
-  ensure_connected();
-  require_v3("KFAIL_BATCH");
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> bytes;
-  append_kfail_batch(bytes, id, queries, digest, deadline_ms);
-  return track_and_write(id, std::move(bytes), FrameType::kKFailAnswer, queries.size(),
-                         deadline_ms);
-}
-
 void Client::settle_inflight(std::uint64_t request_id, FrameType got, std::size_t answered) {
   // The reply must answer a batch we actually sent, with the frame kind
   // that batch's opcode owes us, in full — an unknown id, a reply of the
@@ -426,31 +352,17 @@ void Client::settle_inflight(std::uint64_t request_id, FrameType got, std::size_
 
 std::optional<Frame> Client::route_one(std::uint64_t control_id) {
   Frame frame = read_frame();
+  // Every workload's reply frame takes this one branch.
+  const bool answer = service::any_workload([&]<class W>() {
+    if (frame.type != WorkloadFrames<W>::kAnswer) return false;
+    AnswerFrame<W> fa = decode_answer<W>(frame.payload);
+    settle_inflight(fa.request_id, frame.type, fa.answers.size());
+    ready_.emplace(fa.request_id, AnyAnswers(std::in_place_index<service::workload_index<W>>,
+                                             std::move(fa.answers)));
+    return true;
+  });
+  if (answer) return std::nullopt;
   switch (frame.type) {
-    case FrameType::kAnswerBatch: {
-      AnswerBatchFrame ab = decode_answer_batch(frame.payload);
-      settle_inflight(ab.request_id, FrameType::kAnswerBatch, ab.answers.size());
-      ready_.emplace(ab.request_id, BatchAnswer{ab.request_id, std::move(ab.answers)});
-      return std::nullopt;
-    }
-    case FrameType::kVitalityAnswer: {
-      VitalityAnswerFrame va = decode_vitality_answer(frame.payload);
-      settle_inflight(va.request_id, FrameType::kVitalityAnswer, va.results.size());
-      ready_vitality_.emplace(va.request_id, std::move(va.results));
-      return std::nullopt;
-    }
-    case FrameType::kVickreyAnswer: {
-      VickreyAnswerFrame va = decode_vickrey_answer(frame.payload);
-      settle_inflight(va.request_id, FrameType::kVickreyAnswer, va.results.size());
-      ready_vickrey_.emplace(va.request_id, std::move(va.results));
-      return std::nullopt;
-    }
-    case FrameType::kKFailAnswer: {
-      KFailAnswerFrame ka = decode_kfail_answer(frame.payload);
-      settle_inflight(ka.request_id, FrameType::kKFailAnswer, ka.answers.size());
-      ready_kfail_.emplace(ka.request_id, std::move(ka.answers));
-      return std::nullopt;
-    }
     case FrameType::kError: {
       ErrorFrame err = decode_error(frame.payload);
       if (err.request_id == 0) {
@@ -510,9 +422,10 @@ std::optional<Frame> Client::route_one(std::uint64_t control_id) {
 
 BatchAnswer Client::wait_any() {
   for (;;) {
-    if (!ready_.empty()) {
-      auto it = ready_.begin();
-      BatchAnswer out = std::move(it->second);
+    constexpr std::size_t kPoint = service::workload_index<service::PointWorkload>;
+    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+      if (it->second.index() != kPoint) continue;
+      BatchAnswer out{it->first, std::get<kPoint>(std::move(it->second))};
       ready_.erase(it);
       return out;
     }
@@ -562,160 +475,6 @@ void Client::wait_step(std::uint64_t request_id) {
   route_one(0);
 }
 
-std::vector<Dist> Client::wait(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_.find(request_id); it != ready_.end()) {
-      std::vector<Dist> out = std::move(it->second.answers);
-      ready_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<service::VitalityResult> Client::wait_vitality(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_vitality_.find(request_id); it != ready_vitality_.end()) {
-      std::vector<service::VitalityResult> out = std::move(it->second);
-      ready_vitality_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<service::VickreyResult> Client::wait_vickrey(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_vickrey_.find(request_id); it != ready_vickrey_.end()) {
-      std::vector<service::VickreyResult> out = std::move(it->second);
-      ready_vickrey_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<Dist> Client::wait_kfail(std::uint64_t request_id) {
-  for (;;) {
-    if (const auto it = ready_kfail_.find(request_id); it != ready_kfail_.end()) {
-      std::vector<Dist> out = std::move(it->second);
-      ready_kfail_.erase(it);
-      return out;
-    }
-    wait_step(request_id);
-  }
-}
-
-std::vector<Dist> Client::query_batch(std::span<const service::Query> queries,
-                                      std::optional<std::uint64_t> digest,
-                                      std::optional<std::uint32_t> deadline_ms) {
-  return wait(send(queries, digest, deadline_ms));
-}
-
-std::vector<service::VitalityResult> Client::vitality_batch(
-    std::span<const service::VitalityQuery> queries, std::optional<std::uint64_t> digest,
-    std::optional<std::uint32_t> deadline_ms) {
-  return wait_vitality(send_vitality(queries, digest, deadline_ms));
-}
-
-std::vector<service::VickreyResult> Client::vickrey_batch(
-    std::span<const service::VickreyQuery> queries, std::optional<std::uint64_t> digest,
-    std::optional<std::uint32_t> deadline_ms) {
-  return wait_vickrey(send_vickrey(queries, digest, deadline_ms));
-}
-
-std::vector<Dist> Client::kfail_batch(std::span<const service::KFailQuery> queries,
-                                      std::optional<std::uint64_t> digest,
-                                      std::optional<std::uint32_t> deadline_ms) {
-  return wait_kfail(send_kfail(queries, digest, deadline_ms));
-}
-
-namespace {
-
-/// The retry loop shared by every idempotent round trip: BUSY rejections,
-/// connection loss, and DEADLINE_EXCEEDED replies retry on the policy's
-/// backoff schedule; any other server-reported failure rethrows. `attempt`
-/// runs one synchronous round trip with the remaining wire budget.
-template <class Attempt>
-auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
-    -> decltype(attempt(std::optional<std::uint32_t>{})) {
-  const Deadline overall =
-      policy.deadline_ms != 0 ? deadline_after_ms(policy.deadline_ms) : kNoDeadline;
-  const unsigned attempts = std::max(1u, policy.max_attempts);
-  for (unsigned round = 0;; ++round) {
-    // Each attempt carries whatever budget remains, so the server stops
-    // working on an attempt the client has already given up on.
-    std::optional<std::uint32_t> wire_ms;
-    if (overall != kNoDeadline) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          overall - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        throw DeadlineError("net client: " + std::string(kDeadlineExceededPrefix) +
-                            ": retry budget exhausted after " + std::to_string(round) +
-                            " attempts");
-      }
-      wire_ms = static_cast<std::uint32_t>(left.count());
-    }
-    try {
-      if (!client.connected()) client.reconnect();
-      return attempt(wire_ms);
-    } catch (const BusyError&) {
-      if (round + 1 >= attempts) throw;
-    } catch (const DeadlineError&) {
-      if (round + 1 >= attempts) throw;
-    } catch (const std::runtime_error&) {
-      // Connection loss closes the socket; a server-reported batch error
-      // leaves it open and is never retried (same bytes, same verdict).
-      if (client.connected() || round + 1 >= attempts) throw;
-    }
-    auto pause = policy.backoff_for(round + 1);
-    if (overall != kNoDeadline) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          overall - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        throw DeadlineError("net client: " + std::string(kDeadlineExceededPrefix) +
-                            ": retry budget exhausted after " + std::to_string(round + 1) +
-                            " attempts");
-      }
-      pause = std::min(pause, std::chrono::milliseconds(left.count()));
-    }
-    if (pause.count() > 0) std::this_thread::sleep_for(pause);
-  }
-}
-
-}  // namespace
-
-std::vector<Dist> Client::query_batch_retry(std::span<const service::Query> queries,
-                                            const RetryPolicy& policy,
-                                            std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return query_batch(queries, digest, wire_ms);
-  });
-}
-
-std::vector<service::VitalityResult> Client::vitality_batch_retry(
-    std::span<const service::VitalityQuery> queries, const RetryPolicy& policy,
-    std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return vitality_batch(queries, digest, wire_ms);
-  });
-}
-
-std::vector<service::VickreyResult> Client::vickrey_batch_retry(
-    std::span<const service::VickreyQuery> queries, const RetryPolicy& policy,
-    std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return vickrey_batch(queries, digest, wire_ms);
-  });
-}
-
-std::vector<Dist> Client::kfail_batch_retry(std::span<const service::KFailQuery> queries,
-                                            const RetryPolicy& policy,
-                                            std::optional<std::uint64_t> digest) {
-  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
-    return kfail_batch(queries, digest, wire_ms);
-  });
-}
 
 Frame Client::control_round_trip(std::uint64_t control_id, std::vector<std::uint8_t> bytes) {
   ensure_connected();
@@ -805,7 +564,6 @@ RegisterAckFrame Client::unregister(std::uint64_t digest) {
 }
 
 StatsSnapshotFrame Client::stats() {
-  require_v4("STATS_REQUEST");
   const std::uint64_t id = next_id_++;
   std::vector<std::uint8_t> bytes;
   append_stats_request(bytes, id);
@@ -832,75 +590,13 @@ void Client::write_all(std::span<const std::uint8_t>) {}
 Frame Client::read_frame() { return {}; }
 std::optional<Frame> Client::route_one(std::uint64_t) { return std::nullopt; }
 Frame Client::control_round_trip(std::uint64_t, std::vector<std::uint8_t>) { return {}; }
-std::uint64_t Client::send(std::span<const service::Query>, std::optional<std::uint64_t>,
-                           std::optional<std::uint32_t>) {
-  return 0;
-}
 std::uint64_t Client::track_and_write(std::uint64_t, std::vector<std::uint8_t>, FrameType,
                                       std::size_t, std::optional<std::uint32_t>) {
   return 0;
 }
-void Client::require_v3(const char*) const {}
-void Client::require_v4(const char*) const {}
 void Client::wait_step(std::uint64_t) {}
 void Client::settle_inflight(std::uint64_t, FrameType, std::size_t) {}
-std::uint64_t Client::send_vitality(std::span<const service::VitalityQuery>,
-                                    std::optional<std::uint64_t>,
-                                    std::optional<std::uint32_t>) {
-  return 0;
-}
-std::uint64_t Client::send_vickrey(std::span<const service::VickreyQuery>,
-                                   std::optional<std::uint64_t>,
-                                   std::optional<std::uint32_t>) {
-  return 0;
-}
-std::uint64_t Client::send_kfail(std::span<const service::KFailQuery>,
-                                 std::optional<std::uint64_t>,
-                                 std::optional<std::uint32_t>) {
-  return 0;
-}
 BatchAnswer Client::wait_any() { return {}; }
-std::vector<Dist> Client::wait(std::uint64_t) { return {}; }
-std::vector<service::VitalityResult> Client::wait_vitality(std::uint64_t) { return {}; }
-std::vector<service::VickreyResult> Client::wait_vickrey(std::uint64_t) { return {}; }
-std::vector<Dist> Client::wait_kfail(std::uint64_t) { return {}; }
-std::vector<Dist> Client::query_batch(std::span<const service::Query>,
-                                      std::optional<std::uint64_t>,
-                                      std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<service::VitalityResult> Client::vitality_batch(
-    std::span<const service::VitalityQuery>, std::optional<std::uint64_t>,
-    std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<service::VickreyResult> Client::vickrey_batch(std::span<const service::VickreyQuery>,
-                                                          std::optional<std::uint64_t>,
-                                                          std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<Dist> Client::kfail_batch(std::span<const service::KFailQuery>,
-                                      std::optional<std::uint64_t>,
-                                      std::optional<std::uint32_t>) {
-  return {};
-}
-std::vector<Dist> Client::query_batch_retry(std::span<const service::Query>,
-                                            const RetryPolicy&,
-                                            std::optional<std::uint64_t>) {
-  return {};
-}
-std::vector<service::VitalityResult> Client::vitality_batch_retry(
-    std::span<const service::VitalityQuery>, const RetryPolicy&, std::optional<std::uint64_t>) {
-  return {};
-}
-std::vector<service::VickreyResult> Client::vickrey_batch_retry(
-    std::span<const service::VickreyQuery>, const RetryPolicy&, std::optional<std::uint64_t>) {
-  return {};
-}
-std::vector<Dist> Client::kfail_batch_retry(std::span<const service::KFailQuery>,
-                                            const RetryPolicy&, std::optional<std::uint64_t>) {
-  return {};
-}
 RegisterAckFrame Client::register_graph(std::uint32_t,
                                         std::span<const std::pair<Vertex, Vertex>>,
                                         std::span<const Vertex>,
@@ -913,5 +609,122 @@ RegisterAckFrame Client::unregister(std::uint64_t) { return {}; }
 StatsSnapshotFrame Client::stats() { return {}; }
 
 #endif
+
+namespace {
+
+/// The retry loop shared by every idempotent round trip: BUSY rejections,
+/// connection loss, and DEADLINE_EXCEEDED replies retry on the policy's
+/// backoff schedule; any other server-reported failure rethrows. `attempt`
+/// runs one synchronous round trip with the remaining wire budget.
+template <class Attempt>
+auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
+    -> decltype(attempt(std::optional<std::uint32_t>{})) {
+  const Deadline overall =
+      policy.deadline_ms != 0 ? deadline_after_ms(policy.deadline_ms) : kNoDeadline;
+  const unsigned attempts = std::max(1u, policy.max_attempts);
+  for (unsigned round = 0;; ++round) {
+    // Each attempt carries whatever budget remains, so the server stops
+    // working on an attempt the client has already given up on.
+    std::optional<std::uint32_t> wire_ms;
+    if (overall != kNoDeadline) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          overall - std::chrono::steady_clock::now());
+      if (left.count() <= 0) {
+        throw DeadlineError("net client: " + std::string(kDeadlineExceededPrefix) +
+                            ": retry budget exhausted after " + std::to_string(round) +
+                            " attempts");
+      }
+      wire_ms = static_cast<std::uint32_t>(left.count());
+    }
+    try {
+      if (!client.connected()) client.reconnect();
+      return attempt(wire_ms);
+    } catch (const BusyError&) {
+      if (round + 1 >= attempts) throw;
+    } catch (const DeadlineError&) {
+      if (round + 1 >= attempts) throw;
+    } catch (const std::runtime_error&) {
+      // Connection loss closes the socket; a server-reported batch error
+      // leaves it open and is never retried (same bytes, same verdict).
+      if (client.connected() || round + 1 >= attempts) throw;
+    }
+    auto pause = policy.backoff_for(round + 1);
+    if (overall != kNoDeadline) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          overall - std::chrono::steady_clock::now());
+      if (left.count() <= 0) {
+        throw DeadlineError("net client: " + std::string(kDeadlineExceededPrefix) +
+                            ": retry budget exhausted after " + std::to_string(round + 1) +
+                            " attempts");
+      }
+      pause = std::min(pause, std::chrono::milliseconds(left.count()));
+    }
+    if (pause.count() > 0) std::this_thread::sleep_for(pause);
+  }
+}
+
+}  // namespace
+
+// ------------------------------------------------- one path per workload ---
+// Generic over the tag, and built only from the private helpers above, so
+// the no-sockets build needs no copy of these.
+
+template <class W>
+std::uint64_t Client::send(std::span<const typename W::Request> queries,
+                           std::optional<std::uint64_t> digest,
+                           std::optional<std::uint32_t> deadline_ms) {
+  ensure_connected();
+  const std::uint64_t id = next_id_++;
+  std::vector<std::uint8_t> bytes;
+  append_batch<W>(bytes, id, queries, digest, deadline_ms);
+  return track_and_write(id, std::move(bytes), WorkloadFrames<W>::kAnswer, queries.size(),
+                         deadline_ms);
+}
+
+template <class W>
+std::vector<typename W::Answer> Client::wait(std::uint64_t request_id) {
+  constexpr std::size_t kIndex = service::workload_index<W>;
+  for (;;) {
+    if (const auto it = ready_.find(request_id); it != ready_.end()) {
+      MSRP_REQUIRE(it->second.index() == kIndex,
+                   "net client: waiting for a batch of a different workload");
+      std::vector<typename W::Answer> out = std::get<kIndex>(std::move(it->second));
+      ready_.erase(it);
+      return out;
+    }
+    wait_step(request_id);
+  }
+}
+
+template <class W>
+std::vector<typename W::Answer> Client::batch(std::span<const typename W::Request> queries,
+                                              std::optional<std::uint64_t> digest,
+                                              std::optional<std::uint32_t> deadline_ms) {
+  return wait<W>(send<W>(queries, digest, deadline_ms));
+}
+
+template <class W>
+std::vector<typename W::Answer> Client::batch_retry(std::span<const typename W::Request> queries,
+                                                    const RetryPolicy& policy,
+                                                    std::optional<std::uint64_t> digest) {
+  return run_with_retry(*this, policy, [&](std::optional<std::uint32_t> wire_ms) {
+    return batch<W>(queries, digest, wire_ms);
+  });
+}
+
+#define MSRP_INSTANTIATE_WORKLOAD(W)                                                      \
+  template std::uint64_t Client::send<W>(std::span<const W::Request>,                     \
+                                         std::optional<std::uint64_t>,                    \
+                                         std::optional<std::uint32_t>);                   \
+  template std::vector<W::Answer> Client::wait<W>(std::uint64_t);                         \
+  template std::vector<W::Answer> Client::batch<W>(                                       \
+      std::span<const W::Request>, std::optional<std::uint64_t>, std::optional<std::uint32_t>); \
+  template std::vector<W::Answer> Client::batch_retry<W>(                                 \
+      std::span<const W::Request>, const RetryPolicy&, std::optional<std::uint64_t>)
+MSRP_INSTANTIATE_WORKLOAD(service::PointWorkload);
+MSRP_INSTANTIATE_WORKLOAD(service::VitalityWorkload);
+MSRP_INSTANTIATE_WORKLOAD(service::VickreyWorkload);
+MSRP_INSTANTIATE_WORKLOAD(service::KFailWorkload);
+#undef MSRP_INSTANTIATE_WORKLOAD
 
 }  // namespace msrp::net

@@ -20,10 +20,9 @@
 /// patience accordingly), list_oracles() enumerates what is resident, and
 /// unregister() retires a digest. Batches may target any registered oracle
 /// by passing its digest to send()/query_batch(); without one the
-/// connection's HELLO default answers, exactly as in v1. Control calls
-/// interleave freely with pipelined batches — answers arriving during a
-/// control wait are buffered for their own wait() to find. A v1 server
-/// (HELLO version 1) works unchanged as long as no v2 feature is used.
+/// connection's HELLO default answers. Control calls interleave freely
+/// with pipelined batches — answers arriving during a control wait are
+/// buffered for their own wait() to find.
 ///
 /// A server-reported batch failure (ERROR frame with our id) surfaces as a
 /// thrown std::runtime_error from the wait that collects it; an
@@ -35,7 +34,7 @@
 /// with ClientOptions::auto_reconnect a send() on a dead connection does
 /// this transparently when nothing is in flight.
 ///
-/// ClientOptions::resend_on_reconnect goes further: QUERY_BATCH is
+/// ClientOptions::resend_on_reconnect goes further: every batch frame is
 /// idempotent (same oracle, same queries, same answers), so when the
 /// connection drops with batches in flight the client re-dials and replays
 /// every uncollected batch frame verbatim — same ids — and the waits
@@ -43,15 +42,12 @@
 /// (REGISTER_GRAPH is not idempotent); a drop during a control call is an
 /// error.
 ///
-/// Protocol v3 adds the typed workload opcodes: send_vitality() /
-/// send_vickrey() / send_kfail() pipeline exactly like send() — same ids,
-/// same digest targeting, same wire deadlines, same BUSY/ERROR surface —
-/// and their waits return typed results instead of raw distances. Every
-/// workload frame is idempotent, so resend_on_reconnect replays them
-/// verbatim alongside point batches. The typed sends throw when the server
-/// announced a version below 3 (its dispatcher would fail the connection
-/// on the unknown opcode); everything else on this class works against a
-/// v1/v2 server unchanged.
+/// Every workload (service/workloads.hpp) travels the same path:
+/// send<W>() / wait<W>() / batch<W>() / batch_retry<W>() pipeline exactly
+/// like the point-query names — same ids, same digest targeting, same wire
+/// deadlines, same BUSY/ERROR surface — and return W's answer type.
+/// Replies pair by request id AND frame kind (a reply of the wrong kind for
+/// an id is a protocol violation).
 ///
 /// Protocol v4 adds observability: stats() performs a STATS_REQUEST /
 /// STATS_SNAPSHOT control round trip and returns the server's typed
@@ -59,8 +55,7 @@
 /// process registry, histograms as sparse (bucket index, count) pairs over
 /// the fixed obs/metrics.hpp geometry, so percentiles are derivable
 /// client-side without shipping 136 buckets per series. Like the other
-/// control calls it interleaves freely with pipelined batches and throws
-/// against a server that announced a version below 4.
+/// control calls it interleaves freely with pipelined batches.
 ///
 /// Instances are not thread-safe; give each thread its own Client (the
 /// load generator opens one per connection by design).
@@ -74,6 +69,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -97,7 +93,7 @@ struct ClientOptions {
   /// batches are in flight.
   bool auto_reconnect = false;
   /// On connection loss with batches in flight: re-dial and replay every
-  /// uncollected QUERY_BATCH with its original id (idempotent, so answers
+  /// uncollected batch frame with its original id (idempotent, so answers
   /// are identical). Implies nothing for control calls — those fail.
   bool resend_on_reconnect = false;
   /// Local wait bound for batches sent with a deadline: a wait gives up
@@ -130,7 +126,7 @@ class DeadlineError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Retry schedule for query_batch_retry(): exponential backoff with
+/// Retry schedule for batch_retry(): exponential backoff with
 /// deterministic jitter, bounded by attempts and an overall deadline.
 struct RetryPolicy {
   /// Overall budget for the call, across every attempt and backoff
@@ -154,8 +150,8 @@ struct RetryPolicy {
 class Client {
  public:
   /// Dials and handshakes; throws std::runtime_error when the server is
-  /// unreachable (after retries) or speaks a protocol version outside
-  /// [kMinProtocolVersion, kProtocolVersion].
+  /// unreachable (after retries) or announces a protocol version other
+  /// than kProtocolVersion.
   explicit Client(ClientOptions opts);
   ~Client();
 
@@ -165,7 +161,7 @@ class Client {
   /// Server identity from the handshake (oracle digest, n, m, sources).
   const HelloInfo& hello() const { return hello_; }
 
-  /// The protocol version the server announced (may be lower than ours).
+  /// The protocol version the server announced (always kProtocolVersion).
   std::uint32_t server_version() const { return hello_.version; }
 
   /// True when the server advertises registry support (HELLO flag).
@@ -175,110 +171,70 @@ class Client {
 
   /// Batches sent but not yet collected by a wait.
   std::size_t inflight() const {
-    return inflight_.size() + ready_.size() + ready_vitality_.size() + ready_vickrey_.size() +
-           ready_kfail_.size() + failed_.size() + busy_.size();
+    return inflight_.size() + ready_.size() + failed_.size() + busy_.size();
   }
 
   /// Drops the current socket (in-flight ids are lost) and dials fresh.
   void reconnect();
 
-  /// Writes one QUERY_BATCH and returns its request id without waiting.
-  /// `digest` targets a registered oracle (v2); nullopt sends the
-  /// v1-compatible shape answered by the HELLO default oracle.
-  /// `deadline_ms` is the batch's end-to-end budget, carried on the wire;
-  /// the server answers DEADLINE_EXCEEDED instead of running past it.
-  std::uint64_t send(std::span<const service::Query> queries,
+  /// Writes one batch of workload W and returns its request id without
+  /// waiting. `digest` targets a registered oracle; nullopt is answered by
+  /// the HELLO default oracle. `deadline_ms` is the batch's end-to-end
+  /// budget, carried on the wire; the server answers DEADLINE_EXCEEDED
+  /// instead of running past it.
+  template <class W>
+  std::uint64_t send(std::span<const typename W::Request> queries,
                      std::optional<std::uint64_t> digest = std::nullopt,
                      std::optional<std::uint32_t> deadline_ms = std::nullopt);
 
-  /// Blocks for the next completed batch, in server-completion order.
-  /// Throws std::runtime_error if the server reported that batch failed
-  /// (DeadlineError when it reported DEADLINE_EXCEEDED), BusyError if it
-  /// was rejected by admission control.
+  /// Blocks until the batch with this id completes (others are buffered);
+  /// one answer per query, in query order. Throws std::runtime_error if
+  /// the server reported that batch failed (DeadlineError when it reported
+  /// DEADLINE_EXCEEDED), BusyError if it was rejected by admission control.
+  template <class W>
+  std::vector<typename W::Answer> wait(std::uint64_t request_id);
+
+  /// send<W>() + wait<W>(): the synchronous round trip.
+  template <class W>
+  std::vector<typename W::Answer> batch(std::span<const typename W::Request> queries,
+                                        std::optional<std::uint64_t> digest = std::nullopt,
+                                        std::optional<std::uint32_t> deadline_ms = std::nullopt);
+
+  /// batch<W> with a retry loop: BUSY rejections, connection loss, and
+  /// DEADLINE_EXCEEDED replies are retried on the policy's backoff
+  /// schedule (every batch frame is idempotent, so a resend is always
+  /// safe); any other server-reported failure rethrows immediately. The
+  /// policy's deadline bounds the whole call, backoffs included, and each
+  /// attempt carries the remaining budget on the wire.
+  template <class W>
+  std::vector<typename W::Answer> batch_retry(std::span<const typename W::Request> queries,
+                                              const RetryPolicy& policy,
+                                              std::optional<std::uint64_t> digest = std::nullopt);
+
+  /// Blocks for the next completed point batch, in server-completion order
+  /// (typed batches are collected by their own waits). Same throw surface
+  /// as wait().
   BatchAnswer wait_any();
 
-  /// Blocks until the batch with this id completes (others are buffered).
-  std::vector<Dist> wait(std::uint64_t request_id);
-
-  /// send() + wait(): the synchronous round trip.
+  // Point-query names, kept as forwards.
+  std::uint64_t send(std::span<const service::Query> queries,
+                     std::optional<std::uint64_t> digest = std::nullopt,
+                     std::optional<std::uint32_t> deadline_ms = std::nullopt) {
+    return send<service::PointWorkload>(queries, digest, deadline_ms);
+  }
+  std::vector<Dist> wait(std::uint64_t request_id) {
+    return wait<service::PointWorkload>(request_id);
+  }
   std::vector<Dist> query_batch(std::span<const service::Query> queries,
                                 std::optional<std::uint64_t> digest = std::nullopt,
-                                std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// query_batch with a retry loop: BUSY rejections, connection loss, and
-  /// DEADLINE_EXCEEDED replies are retried on the policy's backoff
-  /// schedule (QUERY_BATCH is idempotent, so a resend is always safe);
-  /// any other server-reported failure rethrows immediately. The policy's
-  /// deadline bounds the whole call, backoffs included, and each attempt
-  /// carries the remaining budget on the wire.
+                                std::optional<std::uint32_t> deadline_ms = std::nullopt) {
+    return batch<service::PointWorkload>(queries, digest, deadline_ms);
+  }
   std::vector<Dist> query_batch_retry(std::span<const service::Query> queries,
                                       const RetryPolicy& policy,
-                                      std::optional<std::uint64_t> digest = std::nullopt);
-
-  // ----- workload opcodes (protocol v3) -----------------------------------
-  // Same pipelining contract as send()/wait(): any mix of point and typed
-  // batches may be in flight at once, replies pair by request id AND frame
-  // type (a reply of the wrong kind for an id is a protocol violation), and
-  // wait_any() keeps returning point batches only — typed batches are
-  // collected by their own waits. All typed sends throw std::runtime_error
-  // against a server that announced a version below 3.
-
-  /// Writes one VITALITY_BATCH (top-k most-vital edges per query) and
-  /// returns its request id without waiting.
-  std::uint64_t send_vitality(std::span<const service::VitalityQuery> queries,
-                              std::optional<std::uint64_t> digest = std::nullopt,
-                              std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Writes one VICKREY_BATCH (per-edge Vickrey payments per query).
-  std::uint64_t send_vickrey(std::span<const service::VickreyQuery> queries,
-                             std::optional<std::uint64_t> digest = std::nullopt,
-                             std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Writes one KFAIL_BATCH (d(s, t) avoiding an explicit edge set per
-  /// query, |F| <= service::kMaxKFailEdges).
-  std::uint64_t send_kfail(std::span<const service::KFailQuery> queries,
-                           std::optional<std::uint64_t> digest = std::nullopt,
-                           std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Blocks until the vitality batch with this id completes; one result per
-  /// query, in query order. Same throw surface as wait().
-  std::vector<service::VitalityResult> wait_vitality(std::uint64_t request_id);
-
-  /// Blocks until the Vickrey batch with this id completes.
-  std::vector<service::VickreyResult> wait_vickrey(std::uint64_t request_id);
-
-  /// Blocks until the k-fail batch with this id completes; one distance per
-  /// query (kInfDist = unreachable once F is removed).
-  std::vector<Dist> wait_kfail(std::uint64_t request_id);
-
-  /// send_vitality() + wait_vitality(): the synchronous round trip.
-  std::vector<service::VitalityResult> vitality_batch(
-      std::span<const service::VitalityQuery> queries,
-      std::optional<std::uint64_t> digest = std::nullopt,
-      std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  std::vector<service::VickreyResult> vickrey_batch(
-      std::span<const service::VickreyQuery> queries,
-      std::optional<std::uint64_t> digest = std::nullopt,
-      std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  std::vector<Dist> kfail_batch(std::span<const service::KFailQuery> queries,
-                                std::optional<std::uint64_t> digest = std::nullopt,
-                                std::optional<std::uint32_t> deadline_ms = std::nullopt);
-
-  /// Retry wrappers with query_batch_retry's exact contract — the typed
-  /// frames are just as idempotent, so the same verdicts are retried.
-  std::vector<service::VitalityResult> vitality_batch_retry(
-      std::span<const service::VitalityQuery> queries, const RetryPolicy& policy,
-      std::optional<std::uint64_t> digest = std::nullopt);
-
-  std::vector<service::VickreyResult> vickrey_batch_retry(
-      std::span<const service::VickreyQuery> queries, const RetryPolicy& policy,
-      std::optional<std::uint64_t> digest = std::nullopt);
-
-  std::vector<Dist> kfail_batch_retry(std::span<const service::KFailQuery> queries,
-                                      const RetryPolicy& policy,
-                                      std::optional<std::uint64_t> digest = std::nullopt);
+                                      std::optional<std::uint64_t> digest = std::nullopt) {
+    return batch_retry<service::PointWorkload>(queries, policy, digest);
+  }
 
   // ----- registry control (protocol v2) -----------------------------------
 
@@ -309,8 +265,7 @@ class Client {
   /// Dumps the server's metrics registry: a STATS_REQUEST / STATS_SNAPSHOT
   /// round trip. Counters and gauges carry their registry names verbatim
   /// ("server.batches_received"); histogram buckets are sparse over the
-  /// shared obs geometry. Throws std::runtime_error against a server that
-  /// announced a version below 4.
+  /// shared obs geometry.
   StatsSnapshotFrame stats();
 
  private:
@@ -339,11 +294,7 @@ class Client {
   std::uint64_t track_and_write(std::uint64_t id, std::vector<std::uint8_t> bytes,
                                 FrameType expect, std::size_t count,
                                 std::optional<std::uint32_t> deadline_ms);
-  /// Throws std::runtime_error unless the server announced protocol >= 3.
-  void require_v3(const char* opcode) const;
-  /// Throws std::runtime_error unless the server announced protocol >= 4.
-  void require_v4(const char* opcode) const;
-  /// Common per-pass body of the typed waits: throws the buffered failure
+  /// Common per-pass body of the waits: throws the buffered failure
   /// for `request_id` if one arrived, else blocks for one more frame.
   void wait_step(std::uint64_t request_id);
   /// On a reply frame: looks up `request_id` expecting `got`-typed replies
@@ -371,13 +322,18 @@ class Client {
   // Verbatim frame bytes of in-flight batches, kept only when
   // resend_on_reconnect is set; ordered so a replay preserves send order.
   std::map<std::uint64_t, std::vector<std::uint8_t>> pending_frames_;
+  // One answer vector per workload tag, by service::workload_index.
+  template <class L>
+  struct AnswersOf;
+  template <class... Ws>
+  struct AnswersOf<service::WorkloadList<Ws...>> {
+    using type = std::variant<std::vector<typename Ws::Answer>...>;
+  };
+  using AnyAnswers = AnswersOf<service::Workloads>::type;
   // Answers (or server-reported errors / busy rejections) that arrived
-  // while waiting for a different id. Typed replies buffer in their own
-  // maps so a wait can never hand back the wrong result kind.
-  std::unordered_map<std::uint64_t, BatchAnswer> ready_;
-  std::unordered_map<std::uint64_t, std::vector<service::VitalityResult>> ready_vitality_;
-  std::unordered_map<std::uint64_t, std::vector<service::VickreyResult>> ready_vickrey_;
-  std::unordered_map<std::uint64_t, std::vector<Dist>> ready_kfail_;
+  // while waiting for a different id. The variant index records the reply
+  // kind, so a wait can never hand back the wrong result type.
+  std::unordered_map<std::uint64_t, AnyAnswers> ready_;
   std::unordered_map<std::uint64_t, std::string> failed_;
   std::unordered_map<std::uint64_t, std::string> busy_;
   // Local give-up instant (wire deadline + grace) per in-flight batch that

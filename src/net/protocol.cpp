@@ -111,36 +111,6 @@ void append_hello(std::vector<std::uint8_t>& out, const HelloInfo& hello) {
   });
 }
 
-void append_query_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::Query> queries,
-                        std::optional<std::uint64_t> digest,
-                        std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kQueryBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(queries.size()));
-    const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
-                                (deadline_ms ? kQueryBatchHasDeadline : 0);
-    put_u32(buf, flags);  // v1: reserved 0
-    if (digest) put_u64(buf, *digest);
-    if (deadline_ms) put_u32(buf, *deadline_ms);
-    for (const service::Query& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-      put_u32(buf, q.e);
-    }
-  });
-}
-
-void append_answer_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers) {
-  append_frame(out, FrameType::kAnswerBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(answers.size()));
-    put_u32(buf, 0);  // reserved
-    for (const Dist d : answers) put_u32(buf, d);
-  });
-}
-
 void append_error(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                   std::string_view message) {
   append_frame(out, FrameType::kError, [&](std::vector<std::uint8_t>& buf) {
@@ -236,131 +206,237 @@ void append_unregister(std::vector<std::uint8_t>& out, std::uint64_t request_id,
   });
 }
 
+// ----------------------------------------------------------- batch frames ---
+
 namespace {
 
-/// The envelope every batch request shares (QUERY_BATCH and the three v3
-/// workload batches): request id, record count, flag word, optional digest
-/// and deadline. One writer/reader pair keeps the layouts identical.
-void put_batch_envelope(std::vector<std::uint8_t>& buf, std::uint64_t request_id,
-                        std::size_t count, const std::optional<std::uint64_t>& digest,
-                        const std::optional<std::uint32_t>& deadline_ms) {
-  put_u64(buf, request_id);
-  put_u32(buf, static_cast<std::uint32_t>(count));
-  const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
-                              (deadline_ms ? kQueryBatchHasDeadline : 0);
-  put_u32(buf, flags);
-  if (digest) put_u64(buf, *digest);
-  if (deadline_ms) put_u32(buf, *deadline_ms);
-}
+/// The per-record half of a workload's wire format: the request record
+/// (kRequestBytes is its minimum size, guarding the count field before any
+/// allocation; read_request also validates the record) and the answer
+/// record (kAnswerBytes likewise). The envelopes around them are shared.
+template <class W>
+struct Codec;
 
-struct BatchEnvelope {
-  std::uint64_t request_id = 0;
-  std::uint32_t count = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
+template <>
+struct Codec<service::PointWorkload> {
+  static constexpr const char* kRequestName = "QUERY_BATCH";
+  static constexpr std::size_t kRequestBytes = 12;
+  static void put_request(std::vector<std::uint8_t>& buf, const service::Query& q) {
+    put_u32(buf, q.s);
+    put_u32(buf, q.t);
+    put_u32(buf, q.e);
+  }
+  static service::Query read_request(Reader& r) {
+    service::Query q;
+    q.s = r.u32();
+    q.t = r.u32();
+    q.e = r.u32();
+    return q;
+  }
+  static constexpr std::size_t kAnswerBytes = 4;
+  static void put_answer(std::vector<std::uint8_t>& buf, Dist d) { put_u32(buf, d); }
+  static Dist read_answer(Reader& r) { return r.u32(); }
 };
 
-BatchEnvelope read_batch_envelope(Reader& r, const char* frame_name) {
-  BatchEnvelope env;
-  env.request_id = r.u64();
-  env.count = r.u32();
-  const std::uint32_t flags = r.u32();
-  if ((flags & ~(kQueryBatchHasDigest | kQueryBatchHasDeadline)) != 0) {
-    throw ProtocolError(std::string("unknown ") + frame_name + " flags");
+template <>
+struct Codec<service::VitalityWorkload> {
+  static constexpr const char* kRequestName = "VITALITY_BATCH";
+  static constexpr std::size_t kRequestBytes = 12;
+  static void put_request(std::vector<std::uint8_t>& buf, const service::VitalityQuery& q) {
+    put_u32(buf, q.s);
+    put_u32(buf, q.t);
+    put_u32(buf, q.k);
   }
-  if (flags & kQueryBatchHasDigest) env.digest = r.u64();
-  if (flags & kQueryBatchHasDeadline) env.deadline_ms = r.u32();
-  return env;
-}
+  static service::VitalityQuery read_request(Reader& r) {
+    service::VitalityQuery q;
+    q.s = r.u32();
+    q.t = r.u32();
+    q.k = r.u32();
+    if (q.k == 0) throw ProtocolError("VITALITY_BATCH k must be positive");
+    if (q.k > service::kMaxTopKVital) {
+      throw ProtocolError("VITALITY_BATCH k " + std::to_string(q.k) + " exceeds cap " +
+                          std::to_string(service::kMaxTopKVital));
+    }
+    return q;
+  }
+  static constexpr std::size_t kAnswerBytes = 8;  // entries excluded
+  static void put_answer(std::vector<std::uint8_t>& buf, const service::VitalityResult& res) {
+    put_u32(buf, res.base);
+    put_u32(buf, static_cast<std::uint32_t>(res.edges.size()));
+    for (const service::VitalityEntry& e : res.edges) {
+      put_u32(buf, e.edge);
+      put_u32(buf, e.position);
+      put_u32(buf, e.replacement);
+    }
+  }
+  static service::VitalityResult read_answer(Reader& r) {
+    service::VitalityResult res;
+    res.base = r.u32();
+    const std::uint32_t entries = r.u32();
+    r.expect_records(entries, 12);
+    res.edges.reserve(entries);
+    for (std::uint32_t j = 0; j < entries; ++j) {
+      service::VitalityEntry e;
+      e.edge = r.u32();
+      e.position = r.u32();
+      e.replacement = r.u32();
+      res.edges.push_back(e);
+    }
+    return res;
+  }
+};
+
+template <>
+struct Codec<service::VickreyWorkload> {
+  static constexpr const char* kRequestName = "VICKREY_BATCH";
+  static constexpr std::size_t kRequestBytes = 8;
+  static void put_request(std::vector<std::uint8_t>& buf, const service::VickreyQuery& q) {
+    put_u32(buf, q.s);
+    put_u32(buf, q.t);
+  }
+  static service::VickreyQuery read_request(Reader& r) {
+    service::VickreyQuery q;
+    q.s = r.u32();
+    q.t = r.u32();
+    return q;
+  }
+  static constexpr std::size_t kAnswerBytes = 8;  // charges excluded
+  static void put_answer(std::vector<std::uint8_t>& buf, const service::VickreyResult& res) {
+    put_u32(buf, res.base);
+    put_u32(buf, static_cast<std::uint32_t>(res.prices.size()));
+    for (const service::VickreyCharge& c : res.prices) {
+      put_u32(buf, c.edge);
+      put_u32(buf, c.price);
+    }
+  }
+  static service::VickreyResult read_answer(Reader& r) {
+    service::VickreyResult res;
+    res.base = r.u32();
+    const std::uint32_t charges = r.u32();
+    r.expect_records(charges, 8);
+    res.prices.reserve(charges);
+    for (std::uint32_t j = 0; j < charges; ++j) {
+      service::VickreyCharge c;
+      c.edge = r.u32();
+      c.price = r.u32();
+      res.prices.push_back(c);
+    }
+    return res;
+  }
+};
+
+template <>
+struct Codec<service::KFailWorkload> {
+  static constexpr const char* kRequestName = "KFAIL_BATCH";
+  static constexpr std::size_t kRequestBytes = 12;  // empty failure set
+  static void put_request(std::vector<std::uint8_t>& buf, const service::KFailQuery& q) {
+    put_u32(buf, q.s);
+    put_u32(buf, q.t);
+    put_u32(buf, static_cast<std::uint32_t>(q.fails.size()));
+    for (const EdgeId e : q.fails) put_u32(buf, e);
+  }
+  static service::KFailQuery read_request(Reader& r) {
+    service::KFailQuery q;
+    q.s = r.u32();
+    q.t = r.u32();
+    const std::uint32_t fails = r.u32();
+    if (fails > service::kMaxKFailEdges) {
+      throw ProtocolError("KFAIL_BATCH failure set of " + std::to_string(fails) +
+                          " edges exceeds cap " + std::to_string(service::kMaxKFailEdges));
+    }
+    q.fails.reserve(fails);
+    for (std::uint32_t j = 0; j < fails; ++j) {
+      const EdgeId e = r.u32();
+      for (const EdgeId seen : q.fails) {
+        if (seen == e) throw ProtocolError("KFAIL_BATCH duplicate edge in failure set");
+      }
+      q.fails.push_back(e);
+    }
+    return q;
+  }
+  static constexpr std::size_t kAnswerBytes = 4;
+  static void put_answer(std::vector<std::uint8_t>& buf, Dist d) { put_u32(buf, d); }
+  static Dist read_answer(Reader& r) { return r.u32(); }
+};
 
 }  // namespace
 
-void append_vitality_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VitalityQuery> queries,
-                           std::optional<std::uint64_t> digest,
-                           std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kVitalityBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_batch_envelope(buf, request_id, queries.size(), digest, deadline_ms);
-    for (const service::VitalityQuery& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-      put_u32(buf, q.k);
-    }
-  });
-}
-
-void append_vitality_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                            std::span<const service::VitalityResult> results) {
-  append_frame(out, FrameType::kVitalityAnswer, [&](std::vector<std::uint8_t>& buf) {
+template <class W>
+void append_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                  std::span<const typename W::Request> queries,
+                  std::optional<std::uint64_t> digest,
+                  std::optional<std::uint32_t> deadline_ms) {
+  append_frame(out, WorkloadFrames<W>::kRequest, [&](std::vector<std::uint8_t>& buf) {
     put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(results.size()));
-    put_u32(buf, 0);  // reserved
-    for (const service::VitalityResult& res : results) {
-      put_u32(buf, res.base);
-      put_u32(buf, static_cast<std::uint32_t>(res.edges.size()));
-      for (const service::VitalityEntry& e : res.edges) {
-        put_u32(buf, e.edge);
-        put_u32(buf, e.position);
-        put_u32(buf, e.replacement);
-      }
-    }
+    put_u32(buf, static_cast<std::uint32_t>(queries.size()));
+    const std::uint32_t flags = (digest ? kQueryBatchHasDigest : 0) |
+                                (deadline_ms ? kQueryBatchHasDeadline : 0);
+    put_u32(buf, flags);
+    if (digest) put_u64(buf, *digest);
+    if (deadline_ms) put_u32(buf, *deadline_ms);
+    for (const auto& q : queries) Codec<W>::put_request(buf, q);
   });
 }
 
-void append_vickrey_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                          std::span<const service::VickreyQuery> queries,
-                          std::optional<std::uint64_t> digest,
-                          std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kVickreyBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_batch_envelope(buf, request_id, queries.size(), digest, deadline_ms);
-    for (const service::VickreyQuery& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-    }
-  });
-}
-
-void append_vickrey_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VickreyResult> results) {
-  append_frame(out, FrameType::kVickreyAnswer, [&](std::vector<std::uint8_t>& buf) {
-    put_u64(buf, request_id);
-    put_u32(buf, static_cast<std::uint32_t>(results.size()));
-    put_u32(buf, 0);  // reserved
-    for (const service::VickreyResult& res : results) {
-      put_u32(buf, res.base);
-      put_u32(buf, static_cast<std::uint32_t>(res.prices.size()));
-      for (const service::VickreyCharge& c : res.prices) {
-        put_u32(buf, c.edge);
-        put_u32(buf, c.price);
-      }
-    }
-  });
-}
-
-void append_kfail_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::KFailQuery> queries,
-                        std::optional<std::uint64_t> digest,
-                        std::optional<std::uint32_t> deadline_ms) {
-  append_frame(out, FrameType::kKFailBatch, [&](std::vector<std::uint8_t>& buf) {
-    put_batch_envelope(buf, request_id, queries.size(), digest, deadline_ms);
-    for (const service::KFailQuery& q : queries) {
-      put_u32(buf, q.s);
-      put_u32(buf, q.t);
-      put_u32(buf, static_cast<std::uint32_t>(q.fails.size()));
-      for (const EdgeId e : q.fails) put_u32(buf, e);
-    }
-  });
-}
-
-void append_kfail_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers) {
-  append_frame(out, FrameType::kKFailAnswer, [&](std::vector<std::uint8_t>& buf) {
+template <class W>
+void append_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                   std::span<const typename W::Answer> answers) {
+  append_frame(out, WorkloadFrames<W>::kAnswer, [&](std::vector<std::uint8_t>& buf) {
     put_u64(buf, request_id);
     put_u32(buf, static_cast<std::uint32_t>(answers.size()));
     put_u32(buf, 0);  // reserved
-    for (const Dist d : answers) put_u32(buf, d);
+    for (const auto& a : answers) Codec<W>::put_answer(buf, a);
   });
 }
+
+template <class W>
+BatchFrame<W> decode_batch(std::span<const std::uint8_t> payload) {
+  Reader r(payload);
+  BatchFrame<W> fb;
+  fb.request_id = r.u64();
+  const std::uint32_t count = r.u32();
+  const std::uint32_t flags = r.u32();
+  if ((flags & ~(kQueryBatchHasDigest | kQueryBatchHasDeadline)) != 0) {
+    throw ProtocolError(std::string("unknown ") + Codec<W>::kRequestName + " flags");
+  }
+  if (flags & kQueryBatchHasDigest) fb.digest = r.u64();
+  if (flags & kQueryBatchHasDeadline) fb.deadline_ms = r.u32();
+  r.expect_records(count, Codec<W>::kRequestBytes);
+  fb.queries.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) fb.queries.push_back(Codec<W>::read_request(r));
+  r.expect_end();
+  return fb;
+}
+
+template <class W>
+AnswerFrame<W> decode_answer(std::span<const std::uint8_t> payload) {
+  Reader r(payload);
+  AnswerFrame<W> fa;
+  fa.request_id = r.u64();
+  const std::uint32_t count = r.u32();
+  r.u32();  // reserved
+  r.expect_records(count, Codec<W>::kAnswerBytes);
+  fa.answers.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) fa.answers.push_back(Codec<W>::read_answer(r));
+  r.expect_end();
+  return fa;
+}
+
+#define MSRP_INSTANTIATE_WORKLOAD(W)                                                     \
+  template void append_batch<W>(std::vector<std::uint8_t>&, std::uint64_t,               \
+                                std::span<const W::Request>, std::optional<std::uint64_t>, \
+                                std::optional<std::uint32_t>);                           \
+  template void append_answer<W>(std::vector<std::uint8_t>&, std::uint64_t,              \
+                                 std::span<const W::Answer>);                            \
+  template BatchFrame<W> decode_batch<W>(std::span<const std::uint8_t>);                 \
+  template AnswerFrame<W> decode_answer<W>(std::span<const std::uint8_t>)
+MSRP_INSTANTIATE_WORKLOAD(service::PointWorkload);
+MSRP_INSTANTIATE_WORKLOAD(service::VitalityWorkload);
+MSRP_INSTANTIATE_WORKLOAD(service::VickreyWorkload);
+MSRP_INSTANTIATE_WORKLOAD(service::KFailWorkload);
+#undef MSRP_INSTANTIATE_WORKLOAD
+
+// ------------------------------------------------------------ other frames ---
 
 HelloInfo decode_hello(std::span<const std::uint8_t> payload) {
   Reader r(payload);
@@ -377,44 +453,6 @@ HelloInfo decode_hello(std::span<const std::uint8_t> payload) {
   for (std::uint32_t i = 0; i < sigma; ++i) hello.sources.push_back(r.u32());
   r.expect_end();
   return hello;
-}
-
-QueryBatchFrame decode_query_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  QueryBatchFrame qb;
-  qb.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  // v1 wrote this word as reserved-zero; v2 uses it as a flag field, so
-  // every v1 frame decodes here unchanged (flags == 0, no digest).
-  const std::uint32_t flags = r.u32();
-  if ((flags & ~(kQueryBatchHasDigest | kQueryBatchHasDeadline)) != 0) {
-    throw ProtocolError("unknown QUERY_BATCH flags");
-  }
-  if (flags & kQueryBatchHasDigest) qb.digest = r.u64();
-  if (flags & kQueryBatchHasDeadline) qb.deadline_ms = r.u32();
-  r.expect_records(count, 12);
-  qb.queries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t s = r.u32();
-    const std::uint32_t t = r.u32();
-    const std::uint32_t e = r.u32();
-    qb.queries.push_back({s, t, e});
-  }
-  r.expect_end();
-  return qb;
-}
-
-AnswerBatchFrame decode_answer_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  AnswerBatchFrame ab;
-  ab.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 4);
-  ab.answers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) ab.answers.push_back(r.u32());
-  r.expect_end();
-  return ab;
 }
 
 ErrorFrame decode_error(std::span<const std::uint8_t> payload) {
@@ -540,148 +578,6 @@ UnregisterFrame decode_unregister(std::span<const std::uint8_t> payload) {
   un.digest = r.u64();
   r.expect_end();
   return un;
-}
-
-VitalityBatchFrame decode_vitality_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const BatchEnvelope env = read_batch_envelope(r, "VITALITY_BATCH");
-  VitalityBatchFrame vb;
-  vb.request_id = env.request_id;
-  vb.digest = env.digest;
-  vb.deadline_ms = env.deadline_ms;
-  r.expect_records(env.count, 12);
-  vb.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) {
-    service::VitalityQuery q;
-    q.s = r.u32();
-    q.t = r.u32();
-    q.k = r.u32();
-    if (q.k == 0) throw ProtocolError("VITALITY_BATCH k must be positive");
-    if (q.k > service::kMaxTopKVital) {
-      throw ProtocolError("VITALITY_BATCH k " + std::to_string(q.k) + " exceeds cap " +
-                          std::to_string(service::kMaxTopKVital));
-    }
-    vb.queries.push_back(q);
-  }
-  r.expect_end();
-  return vb;
-}
-
-VitalityAnswerFrame decode_vitality_answer(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  VitalityAnswerFrame va;
-  va.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 8);  // fixed bytes per result, entries excluded
-  va.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    service::VitalityResult res;
-    res.base = r.u32();
-    const std::uint32_t entries = r.u32();
-    r.expect_records(entries, 12);
-    res.edges.reserve(entries);
-    for (std::uint32_t j = 0; j < entries; ++j) {
-      service::VitalityEntry e;
-      e.edge = r.u32();
-      e.position = r.u32();
-      e.replacement = r.u32();
-      res.edges.push_back(e);
-    }
-    va.results.push_back(std::move(res));
-  }
-  r.expect_end();
-  return va;
-}
-
-VickreyBatchFrame decode_vickrey_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const BatchEnvelope env = read_batch_envelope(r, "VICKREY_BATCH");
-  VickreyBatchFrame vb;
-  vb.request_id = env.request_id;
-  vb.digest = env.digest;
-  vb.deadline_ms = env.deadline_ms;
-  r.expect_records(env.count, 8);
-  vb.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) {
-    service::VickreyQuery q;
-    q.s = r.u32();
-    q.t = r.u32();
-    vb.queries.push_back(q);
-  }
-  r.expect_end();
-  return vb;
-}
-
-VickreyAnswerFrame decode_vickrey_answer(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  VickreyAnswerFrame va;
-  va.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 8);  // fixed bytes per result, charges excluded
-  va.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    service::VickreyResult res;
-    res.base = r.u32();
-    const std::uint32_t charges = r.u32();
-    r.expect_records(charges, 8);
-    res.prices.reserve(charges);
-    for (std::uint32_t j = 0; j < charges; ++j) {
-      service::VickreyCharge c;
-      c.edge = r.u32();
-      c.price = r.u32();
-      res.prices.push_back(c);
-    }
-    va.results.push_back(std::move(res));
-  }
-  r.expect_end();
-  return va;
-}
-
-KFailBatchFrame decode_kfail_batch(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const BatchEnvelope env = read_batch_envelope(r, "KFAIL_BATCH");
-  KFailBatchFrame kb;
-  kb.request_id = env.request_id;
-  kb.digest = env.digest;
-  kb.deadline_ms = env.deadline_ms;
-  r.expect_records(env.count, 12);  // minimum record size (empty failure set)
-  kb.queries.reserve(env.count);
-  for (std::uint32_t i = 0; i < env.count; ++i) {
-    service::KFailQuery q;
-    q.s = r.u32();
-    q.t = r.u32();
-    const std::uint32_t fails = r.u32();
-    if (fails > service::kMaxKFailEdges) {
-      throw ProtocolError("KFAIL_BATCH failure set of " + std::to_string(fails) +
-                          " edges exceeds cap " + std::to_string(service::kMaxKFailEdges));
-    }
-    q.fails.reserve(fails);
-    for (std::uint32_t j = 0; j < fails; ++j) {
-      const EdgeId e = r.u32();
-      for (const EdgeId seen : q.fails) {
-        if (seen == e) throw ProtocolError("KFAIL_BATCH duplicate edge in failure set");
-      }
-      q.fails.push_back(e);
-    }
-    kb.queries.push_back(std::move(q));
-  }
-  r.expect_end();
-  return kb;
-}
-
-KFailAnswerFrame decode_kfail_answer(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  KFailAnswerFrame ka;
-  ka.request_id = r.u64();
-  const std::uint32_t count = r.u32();
-  r.u32();  // reserved
-  r.expect_records(count, 4);
-  ka.answers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) ka.answers.push_back(r.u32());
-  r.expect_end();
-  return ka;
 }
 
 void append_stats_request(std::vector<std::uint8_t>& out, std::uint64_t request_id) {

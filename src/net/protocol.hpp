@@ -36,11 +36,9 @@
 ///     registration was rejected;
 ///   * LIST_ORACLES / ORACLE_LIST enumerate the registered oracles with
 ///     state and per-tenant counters; UNREGISTER retires a digest;
-///   * QUERY_BATCH grows an optional target digest (flag bit 0): a v2
-///     client can aim any batch at any registered oracle. A v1-shaped
-///     batch (flags == 0, no digest) still decodes and targets the HELLO
-///     default — the frame layouts of v1 are a strict subset of v2, which
-///     is why updated clients accept either announced version;
+///   * QUERY_BATCH grows an optional target digest (flag bit 0): a client
+///     can aim any batch at any registered oracle; a batch without one
+///     targets the HELLO default;
 ///   * BUSY (same payload shape as ERROR) rejects a batch that admission
 ///     control will not queue; the connection stays healthy and the
 ///     client may retry.
@@ -59,10 +57,10 @@
 /// count, flag word with the same digest (bit 0) and deadline (bit 1)
 /// meanings — so digest targeting, admission control, deadlines, BUSY,
 /// and the ERROR path all apply unchanged; only the per-query record
-/// differs. The v1/v2 frame layouts are untouched: a v2 client's bytes
-/// decode identically against a v3 server, and the new decoders reject
-/// malformed requests (k == 0 or k > kMaxTopKVital, |F| > kMaxKFailEdges,
-/// duplicate edges in F) as ProtocolError before any allocation.
+/// differs (one codec per workload tag, service/workloads.hpp). The
+/// decoders reject malformed requests (k == 0 or k > kMaxTopKVital,
+/// |F| > kMaxKFailEdges, duplicate edges in F) as ProtocolError before any
+/// allocation.
 ///
 /// Protocol v4 (docs/NETWORK_PROTOCOL.md §v4) adds the observability
 /// conversation:
@@ -74,9 +72,6 @@
 ///     of `--metrics-addr` sees. The frame carries registry names
 ///     ("server.batches_received"); exposition naming ("msrp_..._total")
 ///     is a renderer concern, not a wire concern.
-///
-/// Every v1–v3 frame layout is untouched; v3 clients' bytes decode
-/// identically against a v4 server.
 ///
 /// All integers are little-endian. A frame's payload is capped
 /// (max_frame_bytes, default 64 MiB); an oversized length in the header is
@@ -103,9 +98,6 @@ namespace msrp::net {
 inline constexpr std::uint32_t kFrameMagic = 0x4350524du;
 /// Wire protocol version announced in the server HELLO.
 inline constexpr std::uint32_t kProtocolVersion = 4;
-/// Lowest announced version an updated client still speaks (the v1–v3
-/// frame layouts are strict subsets of v4).
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
 /// Fixed byte size of the frame header.
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Default payload cap; both sides reject frames claiming more.
@@ -135,7 +127,7 @@ enum class FrameType : std::uint32_t {
   kStatsSnapshot = 18,  ///< server -> client: one per STATS_REQUEST
 };
 
-/// QUERY_BATCH flag bits (v2; a v1 frame always carries flags == 0).
+/// Batch request flag bits (every workload's request envelope).
 inline constexpr std::uint32_t kQueryBatchHasDigest = 1u << 0;
 /// Bit 1: the frame carries a u32 relative deadline in milliseconds (after
 /// the optional digest). Absent = wait forever — the pre-deadline shape,
@@ -173,21 +165,10 @@ struct HelloInfo {
   std::vector<Vertex> sources;  ///< valid query sources, in oracle order
 };
 
-struct QueryBatchFrame {
-  std::uint64_t request_id = 0;
-  /// v2 target oracle; nullopt = the connection's HELLO default (the only
-  /// shape a v1 client can produce).
-  std::optional<std::uint64_t> digest;
-  /// Relative deadline budget in ms; nullopt = no deadline. The receiver
-  /// pins it to an absolute instant at decode time.
-  std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::Query> queries;
-};
-
 /// How REGISTER_GRAPH names the graph to build.
 enum class RegisterMode : std::uint32_t {
   kEdgeList = 1,      ///< inline upload: n, m, sources, edge endpoints
-  kSnapshotPath = 2,  ///< path to a v1/v2 snapshot readable by the server
+  kSnapshotPath = 2,  ///< path to a snapshot readable by the server
 };
 
 struct RegisterGraphFrame {
@@ -236,52 +217,57 @@ struct UnregisterFrame {
   std::uint64_t digest = 0;
 };
 
-struct AnswerBatchFrame {
-  std::uint64_t request_id = 0;
-  std::vector<Dist> answers;
+// ----- batch frames (one shape per workload tag) ------------------------------
+// Every workload's request frame shares QUERY_BATCH's envelope (request id,
+// count, flag word, optional digest, optional deadline); only the
+// per-query record differs. Every reply frame is (request id, count,
+// reserved) then one record per query, in query order.
+
+/// The request/reply FrameType pair a workload travels under.
+template <class W>
+struct WorkloadFrames;
+
+template <>
+struct WorkloadFrames<service::PointWorkload> {
+  static constexpr FrameType kRequest = FrameType::kQueryBatch;
+  static constexpr FrameType kAnswer = FrameType::kAnswerBatch;
 };
 
-// ----- v3 workload frames ---------------------------------------------------
-// The three request frames reuse QUERY_BATCH's envelope (request id, count,
-// flag word, optional digest, optional deadline); only the per-query record
-// differs. Their reply frames carry one result per query, in query order.
+template <>
+struct WorkloadFrames<service::VitalityWorkload> {
+  static constexpr FrameType kRequest = FrameType::kVitalityBatch;
+  static constexpr FrameType kAnswer = FrameType::kVitalityAnswer;
+};
 
-struct VitalityBatchFrame {
+template <>
+struct WorkloadFrames<service::VickreyWorkload> {
+  static constexpr FrameType kRequest = FrameType::kVickreyBatch;
+  static constexpr FrameType kAnswer = FrameType::kVickreyAnswer;
+};
+
+/// KFAIL_ANSWER carries ANSWER_BATCH's payload shape under its own frame
+/// type, so a pipelined client can pair replies to request kinds.
+template <>
+struct WorkloadFrames<service::KFailWorkload> {
+  static constexpr FrameType kRequest = FrameType::kKFailBatch;
+  static constexpr FrameType kAnswer = FrameType::kKFailAnswer;
+};
+
+template <class W>
+struct BatchFrame {
   std::uint64_t request_id = 0;
+  /// Target oracle; nullopt = the connection's HELLO default.
   std::optional<std::uint64_t> digest;
+  /// Relative deadline budget in ms; nullopt = no deadline. The receiver
+  /// pins it to an absolute instant at decode time.
   std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::VitalityQuery> queries;
+  std::vector<typename W::Request> queries;
 };
 
-struct VitalityAnswerFrame {
+template <class W>
+struct AnswerFrame {
   std::uint64_t request_id = 0;
-  std::vector<service::VitalityResult> results;
-};
-
-struct VickreyBatchFrame {
-  std::uint64_t request_id = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::VickreyQuery> queries;
-};
-
-struct VickreyAnswerFrame {
-  std::uint64_t request_id = 0;
-  std::vector<service::VickreyResult> results;
-};
-
-struct KFailBatchFrame {
-  std::uint64_t request_id = 0;
-  std::optional<std::uint64_t> digest;
-  std::optional<std::uint32_t> deadline_ms;
-  std::vector<service::KFailQuery> queries;
-};
-
-/// One u32 distance per query — ANSWER_BATCH's payload shape under its own
-/// frame type, so a pipelined client can pair replies to request kinds.
-struct KFailAnswerFrame {
-  std::uint64_t request_id = 0;
-  std::vector<Dist> answers;
+  std::vector<typename W::Answer> answers;
 };
 
 struct ErrorFrame {
@@ -326,15 +312,29 @@ struct StatsSnapshotFrame {
 // several frames can be gathered into one write.
 
 void append_hello(std::vector<std::uint8_t>& out, const HelloInfo& hello);
-/// `digest` targets a specific registered oracle; nullopt emits the
-/// v1-compatible shape (flags == 0, no digest field). `deadline_ms` adds a
-/// relative deadline (flag bit 1); nullopt keeps the legacy layout.
-void append_query_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::Query> queries,
-                        std::optional<std::uint64_t> digest = std::nullopt,
-                        std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_answer_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers);
+/// Encodes one request frame of workload W. `digest` targets a specific
+/// registered oracle (flag bit 0); nullopt emits the default-oracle shape.
+/// `deadline_ms` adds a relative deadline (flag bit 1).
+template <class W>
+void append_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                  std::span<const typename W::Request> queries,
+                  std::optional<std::uint64_t> digest = std::nullopt,
+                  std::optional<std::uint32_t> deadline_ms = std::nullopt);
+/// Encodes one reply frame of workload W.
+template <class W>
+void append_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                   std::span<const typename W::Answer> answers);
+
+inline void append_query_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                               std::span<const service::Query> queries,
+                               std::optional<std::uint64_t> digest = std::nullopt,
+                               std::optional<std::uint32_t> deadline_ms = std::nullopt) {
+  append_batch<service::PointWorkload>(out, request_id, queries, digest, deadline_ms);
+}
+inline void append_answer_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
+                                std::span<const Dist> answers) {
+  append_answer<service::PointWorkload>(out, request_id, answers);
+}
 void append_error(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                   std::string_view message);
 void append_register_graph(std::vector<std::uint8_t>& out, const RegisterGraphFrame& reg);
@@ -346,26 +346,6 @@ void append_unregister(std::vector<std::uint8_t>& out, std::uint64_t request_id,
 /// BUSY shares the ERROR payload shape (request id + message).
 void append_busy(std::vector<std::uint8_t>& out, std::uint64_t request_id,
                  std::string_view message);
-// v3 workload frames. The batch encoders take the same optional digest /
-// deadline pair as append_query_batch and set the same flag bits.
-void append_vitality_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VitalityQuery> queries,
-                           std::optional<std::uint64_t> digest = std::nullopt,
-                           std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_vitality_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                            std::span<const service::VitalityResult> results);
-void append_vickrey_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                          std::span<const service::VickreyQuery> queries,
-                          std::optional<std::uint64_t> digest = std::nullopt,
-                          std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_vickrey_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                           std::span<const service::VickreyResult> results);
-void append_kfail_batch(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                        std::span<const service::KFailQuery> queries,
-                        std::optional<std::uint64_t> digest = std::nullopt,
-                        std::optional<std::uint32_t> deadline_ms = std::nullopt);
-void append_kfail_answer(std::vector<std::uint8_t>& out, std::uint64_t request_id,
-                         std::span<const Dist> answers);
 // v4 observability frames. STATS_REQUEST carries just the request id.
 void append_stats_request(std::vector<std::uint8_t>& out, std::uint64_t request_id);
 void append_stats_snapshot(std::vector<std::uint8_t>& out, const StatsSnapshotFrame& stats);
@@ -374,8 +354,14 @@ void append_stats_snapshot(std::vector<std::uint8_t>& out, const StatsSnapshotFr
 // Throw ProtocolError when the payload size does not match its own counts.
 
 HelloInfo decode_hello(std::span<const std::uint8_t> payload);
-QueryBatchFrame decode_query_batch(std::span<const std::uint8_t> payload);
-AnswerBatchFrame decode_answer_batch(std::span<const std::uint8_t> payload);
+/// Beyond size consistency the request decoders validate the records
+/// themselves: k == 0 or k > service::kMaxTopKVital, a failure set larger
+/// than service::kMaxKFailEdges, and duplicate edges within one failure set
+/// are all ProtocolError — rejected before any allocation.
+template <class W>
+BatchFrame<W> decode_batch(std::span<const std::uint8_t> payload);
+template <class W>
+AnswerFrame<W> decode_answer(std::span<const std::uint8_t> payload);
 ErrorFrame decode_error(std::span<const std::uint8_t> payload);
 RegisterGraphFrame decode_register_graph(std::span<const std::uint8_t> payload);
 RegisterAckFrame decode_register_ack(std::span<const std::uint8_t> payload);
@@ -383,16 +369,6 @@ RegisterAckFrame decode_register_ack(std::span<const std::uint8_t> payload);
 std::uint64_t decode_list_oracles(std::span<const std::uint8_t> payload);
 OracleListFrame decode_oracle_list(std::span<const std::uint8_t> payload);
 UnregisterFrame decode_unregister(std::span<const std::uint8_t> payload);
-// v3 workload decoders. Beyond size consistency these validate the
-// requests themselves: k == 0 or k > service::kMaxTopKVital, a failure set
-// larger than service::kMaxKFailEdges, and duplicate edges within one
-// failure set are all ProtocolError — rejected before any allocation.
-VitalityBatchFrame decode_vitality_batch(std::span<const std::uint8_t> payload);
-VitalityAnswerFrame decode_vitality_answer(std::span<const std::uint8_t> payload);
-VickreyBatchFrame decode_vickrey_batch(std::span<const std::uint8_t> payload);
-VickreyAnswerFrame decode_vickrey_answer(std::span<const std::uint8_t> payload);
-KFailBatchFrame decode_kfail_batch(std::span<const std::uint8_t> payload);
-KFailAnswerFrame decode_kfail_answer(std::span<const std::uint8_t> payload);
 /// STATS_REQUEST carries just the request id.
 std::uint64_t decode_stats_request(std::span<const std::uint8_t> payload);
 StatsSnapshotFrame decode_stats_snapshot(std::span<const std::uint8_t> payload);

@@ -18,11 +18,12 @@
 ///     forces it), loop 0 accepts and hands connections off round-robin
 ///     through the target loop's doorbell;
 ///   * the POOL THREADS (QueryService's workers) answer batches. A decoded
-///     QUERY_BATCH is handed to QueryService::submit_batch with a callback;
-///     the callback fires on a worker and posts the encoded reply back to
+///     batch of any workload (service/workloads.hpp) is handed to
+///     QueryService::submit<W> with a callback; the callback fires on a
+///     worker, encodes the reply frame there, and posts the bytes back to
 ///     the connection's OWN loop through that loop's eventfd doorbell. The
 ///     worker never touches a socket, loop threads never wait on a
-///     batch — each side stays at its own latency scale.
+///     batch or encode one — each side stays at its own latency scale.
 ///
 /// Registry, dispatcher, and QueryService state stay shared across loops
 /// behind their existing locks; only connection state is per-loop.
@@ -47,6 +48,7 @@
 /// never cancelled, the server never blocks.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -148,9 +150,9 @@ class Server {
 
   /// Multi-tenant flavour: batches may target any oracle `registry` has
   /// ready (protocol v2), and REGISTER_GRAPH / LIST_ORACLES / UNREGISTER
-  /// are served. `oracle` is the HELLO default for v1 clients and may be
-  /// null (clients must then name a digest per batch). The registry must
-  /// outlive the server — declare it first.
+  /// are served. `oracle` is the HELLO default for batches without a
+  /// digest and may be null (clients must then name a digest per batch).
+  /// The registry must outlive the server — declare it first.
   Server(service::QueryService& svc, std::shared_ptr<const service::Snapshot> oracle,
          registry::OracleRegistry* registry, ServerOptions opts = {});
 
@@ -182,7 +184,7 @@ class Server {
  private:
   struct Conn;
   struct LoopShard;
-  struct WorkloadReply;
+  struct Reply;
 
   void on_accept(LoopShard& ls, std::uint32_t events);
   /// Registers an accepted socket with `ls` (its home loop from then on);
@@ -198,16 +200,13 @@ class Server {
   /// has_capacity allows, then re-syncs the epoll read interest.
   void pump(const std::shared_ptr<Conn>& conn);
   void handle_frame(const std::shared_ptr<Conn>& conn, Frame frame);
-  /// `recv_ns` is the obs::now_ns() stamp taken when the frame surfaced on
-  /// the loop thread — the zero point of the batch's decode stage.
-  void handle_query_batch(const std::shared_ptr<Conn>& conn, QueryBatchFrame qb,
-                          std::uint64_t recv_ns);
-  void handle_vitality_batch(const std::shared_ptr<Conn>& conn, VitalityBatchFrame fb,
-                             std::uint64_t recv_ns);
-  void handle_vickrey_batch(const std::shared_ptr<Conn>& conn, VickreyBatchFrame fb,
-                            std::uint64_t recv_ns);
-  void handle_kfail_batch(const std::shared_ptr<Conn>& conn, KFailBatchFrame fb,
-                          std::uint64_t recv_ns);
+  /// Handles one decoded batch of workload W: id and oracle checks, then
+  /// admit() with a start closure that runs QueryService::submit<W> and
+  /// encodes W's answer frame on the completing pool worker. `recv_ns` is
+  /// the obs::now_ns() stamp taken when the frame surfaced on the loop
+  /// thread — the zero point of the batch's decode stage.
+  template <class W>
+  void handle_batch(const std::shared_ptr<Conn>& conn, BatchFrame<W> fb, std::uint64_t recv_ns);
   /// Answers STATS_REQUEST with a typed dump of the process metrics
   /// registry (counters, gauges, sparse histogram buckets).
   void handle_stats(const std::shared_ptr<Conn>& conn, std::uint64_t request_id);
@@ -223,28 +222,23 @@ class Server {
   std::shared_ptr<const service::Snapshot> resolve_oracle(
       const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
       const std::optional<std::uint64_t>& digest_opt, std::uint64_t* digest_out);
-  /// Admits one typed workload batch through the dispatcher with the
-  /// standard accounting (conn inflight, destructor gate, registry notes,
-  /// BUSY rollback). `start` submits to the service; its completion must
-  /// fill `reply` on success before invoking the dispatcher-wrapped
-  /// callback.
-  /// `submit_ns` is the dispatcher hand-off stamp: queue time runs from it
-  /// to the dispatcher invoking `start`, execute from `start` to the service
+  /// Admits one batch through the dispatcher with the standard accounting
+  /// (conn inflight, destructor gate, registry notes, BUSY rollback).
+  /// `start` submits to the service; its completion must fill `reply` on
+  /// success before invoking the dispatcher-wrapped callback. `submit_ns`
+  /// is the dispatcher hand-off stamp: queue time runs from it to the
+  /// dispatcher invoking `start`, execute from `start` to the service
   /// completion. `span` (may be null) collects the same stamps for tracing.
-  void submit_workload(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
-                       std::uint64_t digest, registry::FairDispatcher::StartFn start,
-                       std::shared_ptr<WorkloadReply> reply, Deadline deadline,
-                       std::uint64_t submit_ns, std::shared_ptr<obs::TraceSpan> span);
-  void on_workload_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
-                        const std::shared_ptr<WorkloadReply>& reply,
-                        std::exception_ptr error,
-                        const std::shared_ptr<obs::TraceSpan>& span);
+  void admit(const std::shared_ptr<Conn>& conn, std::uint64_t request_id, std::uint64_t digest,
+             registry::FairDispatcher::StartFn start, std::shared_ptr<Reply> reply,
+             Deadline deadline, std::uint64_t submit_ns, std::shared_ptr<obs::TraceSpan> span);
+  /// The one completion tail, on the loop thread: ships the encoded reply
+  /// (or an ERROR frame for `error`) and records the flush stage.
+  void on_batch_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id, Reply& reply,
+                     std::exception_ptr error, const std::shared_ptr<obs::TraceSpan>& span);
   void handle_register(const std::shared_ptr<Conn>& conn, RegisterGraphFrame reg);
   void handle_list_oracles(const std::shared_ptr<Conn>& conn, std::uint64_t request_id);
   void handle_unregister(const std::shared_ptr<Conn>& conn, const UnregisterFrame& un);
-  void on_batch_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
-                     service::BatchResult result,
-                     const std::shared_ptr<obs::TraceSpan>& span);
   void on_register_done(const std::shared_ptr<Conn>& conn, std::uint64_t request_id,
                         registry::RegisterOutcome outcome);
   /// Answers one batch-level error without touching the connection state.
@@ -269,6 +263,10 @@ class Server {
   /// flush-and-close what is idle.
   void drain_loop(LoopShard& ls);
   std::uint32_t base_events() const;
+  template <class W>
+  std::uint64_t typed_batches() const {
+    return workload_batches_[service::workload_index<W>].load(std::memory_order_relaxed);
+  }
 
   service::QueryService& svc_;
   std::shared_ptr<const service::Snapshot> oracle_;
@@ -304,9 +302,9 @@ class Server {
   std::atomic<std::uint64_t> connections_closed_{0};
   std::atomic<std::uint64_t> batches_received_{0};
   std::atomic<std::uint64_t> queries_answered_{0};
-  std::atomic<std::uint64_t> vitality_batches_{0};
-  std::atomic<std::uint64_t> vickrey_batches_{0};
-  std::atomic<std::uint64_t> kfail_batches_{0};
+  // Batches received per workload (point batches count only toward
+  // batches_received_), indexed by service::workload_index.
+  std::array<std::atomic<std::uint64_t>, service::kNumWorkloads> workload_batches_{};
   std::atomic<std::uint64_t> batch_errors_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> replies_dropped_{0};

@@ -11,11 +11,9 @@
 /// dead workers are still noticed when a wake is lost to a crash.
 ///
 /// Defaults come from the environment so operators can tune a running
-/// binary: MSRP_SHARD_SPIN_ROUNDS, MSRP_SHARD_SLEEP_US,
-/// MSRP_SHARD_DOORBELL (0 disables futex parking; falls back to
-/// spin-then-sleep polling), and MSRP_SHARD_WAIT_US (futex wait bound).
-/// Explicit Options fields (or msrp_serve --shard-spin /
-/// --shard-sleep-us) win over the environment.
+/// binary: MSRP_SHARD_SPIN_ROUNDS and MSRP_SHARD_WAIT_US (futex wait
+/// bound). Explicit Options fields (or msrp_serve --shard-spin) win over
+/// the environment.
 #pragma once
 
 #include <cstdint>
@@ -26,32 +24,19 @@
 namespace msrp::service {
 
 struct ShardBackoff {
-  /// Empty poll rounds to busy-spin before parking (doorbell mode) or
-  /// sleeping (polling mode).
+  /// Empty poll rounds to busy-spin before parking on the doorbell.
   std::uint32_t spin_rounds = 64;
-  /// Polling-mode sleep between polls once past spin_rounds, in
-  /// microseconds; 0 means yield the CPU without a timed sleep (lowest
-  /// latency that still lets same-core workers run — the right setting
-  /// when router and workers share one CPU).
-  std::uint32_t sleep_us = 20;
-  /// Park on the shared-memory futex doorbells instead of timed-sleep
-  /// polling. On platforms without futex this silently degrades to the
-  /// polling behaviour (util/futex.hpp).
-  bool use_doorbell = true;
   /// Upper bound on one doorbell park, in microseconds. Bounds how stale a
   /// lost wake (crashed peer) can leave either side; also the cadence of
   /// the collector's worker-death checks while stalled.
   std::uint32_t wait_timeout_us = 10000;
 
   /// Compiled-in defaults overridden by MSRP_SHARD_SPIN_ROUNDS /
-  /// MSRP_SHARD_SLEEP_US / MSRP_SHARD_DOORBELL / MSRP_SHARD_WAIT_US.
+  /// MSRP_SHARD_WAIT_US.
   static ShardBackoff from_env() {
     ShardBackoff bo;
     bo.spin_rounds = static_cast<std::uint32_t>(
         env::u64_or("MSRP_SHARD_SPIN_ROUNDS", bo.spin_rounds));
-    bo.sleep_us =
-        static_cast<std::uint32_t>(env::u64_or("MSRP_SHARD_SLEEP_US", bo.sleep_us));
-    bo.use_doorbell = env::u64_or("MSRP_SHARD_DOORBELL", bo.use_doorbell ? 1 : 0) != 0;
     bo.wait_timeout_us = static_cast<std::uint32_t>(
         env::u64_or("MSRP_SHARD_WAIT_US", bo.wait_timeout_us));
     if (bo.wait_timeout_us == 0) bo.wait_timeout_us = 1;  // 0 would mean busy-poll

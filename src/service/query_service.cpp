@@ -220,9 +220,9 @@ void QueryService::answer_range(const Snapshot& oracle, std::span<const Query> q
   }
 }
 
-std::vector<Dist> QueryService::query_batch(const Snapshot& oracle,
-                                            std::span<const Query> queries,
-                                            Deadline deadline) {
+std::vector<Dist> QueryService::answer_points(const Snapshot& oracle,
+                                              std::span<const Query> queries,
+                                              Deadline deadline) {
   if (sharding()) {
     // Multi-process path: the router validates, routes each query to the
     // worker owning its source, and merges in batch order — bit-identical
@@ -443,20 +443,26 @@ void QueryService::submit_batch(Graph g, std::vector<Vertex> sources, Config cfg
 
 namespace {
 
+/// The service layer's half of a workload tag: `prepare` validates a typed
+/// batch and reduces it to point queries (answering locally whatever needs
+/// no table read), `finish` assembles the point answers — read back by
+/// position, so the point batch can be answered by ANY serving path,
+/// in-process or sharded, with the same bytes.
+template <class W>
+struct WorkloadOps;
+
 /// A vitality/Vickrey batch flattened into point queries: one Query per
-/// canonical-path edge, per input query. Assembly reads answers back out by
-/// offset, so the point batch can be answered by ANY serving path —
-/// in-process, sharded, it does not matter, the bytes are the same.
+/// canonical-path edge, per input query.
 struct PathExpansion {
   std::vector<Query> points;
   std::vector<std::size_t> offset;         // queries.size()+1 bounds into points
   std::vector<Dist> base;                  // d(s, t) per input query
   std::vector<std::vector<EdgeId>> paths;  // canonical path per input query
+  std::size_t answered_locally = 0;
 };
 
 template <class WorkloadQuery>
-PathExpansion expand_paths(const Snapshot& oracle,
-                           std::span<const WorkloadQuery> queries) {
+PathExpansion expand_paths(const Snapshot& oracle, std::span<const WorkloadQuery> queries) {
   PathExpansion ex;
   ex.offset.reserve(queries.size() + 1);
   ex.offset.push_back(0);
@@ -473,244 +479,202 @@ PathExpansion expand_paths(const Snapshot& oracle,
   return ex;
 }
 
-std::vector<VitalityResult> assemble_vitality(std::span<const VitalityQuery> queries,
-                                              const PathExpansion& ex,
-                                              std::span<const Dist> answers) {
-  std::vector<VitalityResult> out(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    VitalityResult& r = out[i];
-    r.base = ex.base[i];
-    const std::vector<EdgeId>& path = ex.paths[i];
-    r.edges.resize(path.size());
-    for (std::size_t j = 0; j < path.size(); ++j) {
-      r.edges[j] = VitalityEntry{path[j], static_cast<std::uint32_t>(j),
-                                 answers[ex.offset[i] + j]};
+template <>
+struct WorkloadOps<VitalityWorkload> {
+  using Plan = PathExpansion;
+
+  static Plan prepare(QueryService&, const Snapshot& oracle,
+                      std::span<const VitalityQuery> queries, Deadline) {
+    for (const VitalityQuery& q : queries) {
+      MSRP_REQUIRE(q.k >= 1 && q.k <= kMaxTopKVital, "vitality k out of range");
     }
-    // base is constant per query, so (vitality desc) == (replacement desc),
-    // and kInfDist — a bridge — is already the largest Dist. Same order as
-    // rp::most_vital_edges.
-    std::sort(r.edges.begin(), r.edges.end(),
-              [](const VitalityEntry& a, const VitalityEntry& b) {
-                if (a.replacement != b.replacement) return a.replacement > b.replacement;
-                return a.position < b.position;
-              });
-    if (r.edges.size() > queries[i].k) r.edges.resize(queries[i].k);
+    return expand_paths(oracle, queries);
   }
-  return out;
-}
 
-std::vector<VickreyResult> assemble_vickrey(std::span<const VickreyQuery> queries,
-                                            const PathExpansion& ex,
-                                            std::span<const Dist> answers) {
-  std::vector<VickreyResult> out(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    VickreyResult& r = out[i];
-    r.base = ex.base[i];
-    const std::vector<EdgeId>& path = ex.paths[i];
-    r.prices.resize(path.size());
-    for (std::size_t j = 0; j < path.size(); ++j) {
-      const Dist repl = answers[ex.offset[i] + j];
-      r.prices[j] = VickreyCharge{path[j], repl == kInfDist ? kInfDist : repl - r.base};
+  static std::vector<VitalityResult> finish(std::span<const VitalityQuery> queries,
+                                            Plan& ex, std::span<const Dist> answers) {
+    std::vector<VitalityResult> out(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      VitalityResult& r = out[i];
+      r.base = ex.base[i];
+      const std::vector<EdgeId>& path = ex.paths[i];
+      r.edges.resize(path.size());
+      for (std::size_t j = 0; j < path.size(); ++j) {
+        r.edges[j] = VitalityEntry{path[j], static_cast<std::uint32_t>(j),
+                                   answers[ex.offset[i] + j]};
+      }
+      // base is constant per query, so (vitality desc) == (replacement
+      // desc), and kInfDist — a bridge — is already the largest Dist. Same
+      // order as rp::most_vital_edges.
+      std::sort(r.edges.begin(), r.edges.end(),
+                [](const VitalityEntry& a, const VitalityEntry& b) {
+                  if (a.replacement != b.replacement) return a.replacement > b.replacement;
+                  return a.position < b.position;
+                });
+      if (r.edges.size() > queries[i].k) r.edges.resize(queries[i].k);
     }
+    return out;
   }
-  return out;
-}
+};
 
-void validate_vitality_k(std::span<const VitalityQuery> queries) {
-  for (const VitalityQuery& q : queries) {
-    MSRP_REQUIRE(q.k >= 1 && q.k <= kMaxTopKVital, "vitality k out of range");
+template <>
+struct WorkloadOps<VickreyWorkload> {
+  using Plan = PathExpansion;
+
+  static Plan prepare(QueryService&, const Snapshot& oracle,
+                      std::span<const VickreyQuery> queries, Deadline) {
+    return expand_paths(oracle, queries);
   }
-}
 
-/// Validates a K_FAIL batch and answers everything that is NOT a single-
-/// edge failure: |F| == 0 from the stored base distance, |F| == 2 by one
-/// bounded BFS each. The |F| == 1 queries come back as point queries (with
-/// their slots) for the caller to run through the point-query path — sync
-/// or async, whichever the caller is.
-void split_kfail(QueryService& svc, const Snapshot& oracle,
-                 std::span<const KFailQuery> queries, std::vector<Dist>& out,
-                 std::vector<Query>& points, std::vector<std::size_t>& point_slot,
-                 Deadline deadline) {
-  out.assign(queries.size(), kInfDist);
-  std::shared_ptr<const Graph> graph;
-  KFailScratch scratch;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const KFailQuery& q = queries[i];
-    MSRP_REQUIRE(oracle.is_source(q.s), "k-fail query source is not an oracle source");
-    MSRP_REQUIRE(q.t < oracle.num_vertices(), "k-fail query target out of range");
-    MSRP_REQUIRE(q.fails.size() <= kMaxKFailEdges, "k-fail failure set too large");
-    for (std::size_t a = 0; a < q.fails.size(); ++a) {
-      MSRP_REQUIRE(q.fails[a] < oracle.num_edges(), "k-fail edge out of range");
-      for (std::size_t b = a + 1; b < q.fails.size(); ++b) {
-        MSRP_REQUIRE(q.fails[a] != q.fails[b], "k-fail duplicate edge in failure set");
+  static std::vector<VickreyResult> finish(std::span<const VickreyQuery> queries, Plan& ex,
+                                           std::span<const Dist> answers) {
+    std::vector<VickreyResult> out(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      VickreyResult& r = out[i];
+      r.base = ex.base[i];
+      const std::vector<EdgeId>& path = ex.paths[i];
+      r.prices.resize(path.size());
+      for (std::size_t j = 0; j < path.size(); ++j) {
+        const Dist repl = answers[ex.offset[i] + j];
+        r.prices[j] = VickreyCharge{path[j], repl == kInfDist ? kInfDist : repl - r.base};
       }
     }
-    switch (q.fails.size()) {
-      case 0:
-        out[i] = oracle.shortest(q.s, q.t);
-        break;
-      case 1:
-        points.push_back(Query{q.s, q.t, q.fails[0]});
-        point_slot.push_back(i);
-        break;
-      default: {
-        if (!graph) {
-          graph = svc.graph_for(oracle.content_digest());
-          MSRP_REQUIRE(graph != nullptr,
-                       "k-fail |F| == 2 needs the graph behind the oracle — attach_graph() it");
+    return out;
+  }
+};
+
+template <>
+struct WorkloadOps<KFailWorkload> {
+  /// Everything that is NOT a single-edge failure is answered during
+  /// prepare: |F| == 0 from the stored base distance, |F| == 2 by one
+  /// bounded BFS each. The |F| == 1 queries become the point batch, with
+  /// their slots.
+  struct Plan {
+    std::vector<Query> points;
+    std::vector<std::size_t> point_slot;
+    std::vector<Dist> out;
+    std::size_t answered_locally = 0;
+  };
+
+  static Plan prepare(QueryService& svc, const Snapshot& oracle,
+                      std::span<const KFailQuery> queries, Deadline deadline) {
+    Plan plan;
+    plan.out.assign(queries.size(), kInfDist);
+    std::shared_ptr<const Graph> graph;
+    KFailScratch scratch;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const KFailQuery& q = queries[i];
+      MSRP_REQUIRE(oracle.is_source(q.s), "k-fail query source is not an oracle source");
+      MSRP_REQUIRE(q.t < oracle.num_vertices(), "k-fail query target out of range");
+      MSRP_REQUIRE(q.fails.size() <= kMaxKFailEdges, "k-fail failure set too large");
+      for (std::size_t a = 0; a < q.fails.size(); ++a) {
+        MSRP_REQUIRE(q.fails[a] < oracle.num_edges(), "k-fail edge out of range");
+        for (std::size_t b = a + 1; b < q.fails.size(); ++b) {
+          MSRP_REQUIRE(q.fails[a] != q.fails[b], "k-fail duplicate edge in failure set");
         }
-        if (deadline_expired(deadline)) {
-          throw DeadlineExceeded("batch expired before answering");
+      }
+      switch (q.fails.size()) {
+        case 0:
+          plan.out[i] = oracle.shortest(q.s, q.t);
+          break;
+        case 1:
+          plan.points.push_back(Query{q.s, q.t, q.fails[0]});
+          plan.point_slot.push_back(i);
+          break;
+        default: {
+          if (!graph) {
+            graph = svc.graph_for(oracle.content_digest());
+            MSRP_REQUIRE(graph != nullptr,
+                         "k-fail |F| == 2 needs the graph behind the oracle — attach_graph() it");
+          }
+          if (deadline_expired(deadline)) {
+            throw DeadlineExceeded("batch expired before answering");
+          }
+          plan.out[i] = kfail_distance(*graph, q.s, q.t, q.fails, scratch);
+          break;
         }
-        out[i] = kfail_distance(*graph, q.s, q.t, q.fails, scratch);
-        break;
       }
     }
+    plan.answered_locally = queries.size() - plan.points.size();
+    return plan;
   }
-}
+
+  static std::vector<Dist> finish(std::span<const KFailQuery>, Plan& plan,
+                                  std::span<const Dist> answers) {
+    for (std::size_t j = 0; j < answers.size(); ++j) plan.out[plan.point_slot[j]] = answers[j];
+    return std::move(plan.out);
+  }
+};
 
 }  // namespace
 
-std::vector<VitalityResult> QueryService::vitality_batch(
-    const Snapshot& oracle, std::span<const VitalityQuery> queries, Deadline deadline) {
-  validate_vitality_k(queries);
-  const PathExpansion ex = expand_paths(oracle, queries);
-  const std::vector<Dist> answers = query_batch(oracle, ex.points, deadline);
-  return assemble_vitality(queries, ex, answers);
-}
-
-std::vector<VickreyResult> QueryService::vickrey_batch(const Snapshot& oracle,
-                                                       std::span<const VickreyQuery> queries,
-                                                       Deadline deadline) {
-  const PathExpansion ex = expand_paths(oracle, queries);
-  const std::vector<Dist> answers = query_batch(oracle, ex.points, deadline);
-  return assemble_vickrey(queries, ex, answers);
-}
-
-std::vector<Dist> QueryService::kfail_batch(const Snapshot& oracle,
-                                            std::span<const KFailQuery> queries,
-                                            Deadline deadline) {
-  std::vector<Dist> out;
-  std::vector<Query> points;
-  std::vector<std::size_t> point_slot;
-  split_kfail(*this, oracle, queries, out, points, point_slot, deadline);
-  if (!points.empty()) {
-    // query_batch accounts for the point queries itself.
-    const std::vector<Dist> answers = query_batch(oracle, points, deadline);
-    for (std::size_t j = 0; j < answers.size(); ++j) out[point_slot[j]] = answers[j];
+template <class W>
+std::vector<typename W::Answer> QueryService::batch(const Snapshot& oracle,
+                                                    std::span<const typename W::Request> queries,
+                                                    Deadline deadline) {
+  if constexpr (is_point_workload<W>) {
+    return answer_points(oracle, queries, deadline);
+  } else {
+    auto plan = WorkloadOps<W>::prepare(*this, oracle, queries, deadline);
+    // answer_points accounts for the point queries itself.
+    const std::vector<Dist> answers = answer_points(oracle, plan.points, deadline);
+    queries_served_.fetch_add(plan.answered_locally, std::memory_order_relaxed);
+    return WorkloadOps<W>::finish(queries, plan, answers);
   }
-  queries_served_.fetch_add(queries.size() - points.size(), std::memory_order_relaxed);
-  return out;
 }
 
-void QueryService::submit_vitality(std::shared_ptr<const Snapshot> oracle,
-                                   std::vector<VitalityQuery> queries, VitalityCallback done,
-                                   Deadline deadline) {
-  MSRP_REQUIRE(oracle != nullptr, "submit_vitality: null oracle");
-  MSRP_REQUIRE(done != nullptr, "submit_vitality: null callback");
-  // Expansion runs on the pool; the resulting point batch chains through
-  // submit_batch (counter-driven, nobody blocks), and assembly runs in its
-  // callback. Both hops check the deadline and fire "service.answer".
-  pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
-                done = std::move(done), deadline]() mutable {
-    try {
-      (void)MSRP_FAILPOINT("service.answer");
-      if (deadline_expired(deadline)) {
-        throw DeadlineExceeded("batch expired before answering");
-      }
-      validate_vitality_k(queries);
-      auto ex = std::make_shared<const PathExpansion>(expand_paths<VitalityQuery>(*oracle, queries));
-      auto held = std::make_shared<const std::vector<VitalityQuery>>(std::move(queries));
-      std::vector<Query> points = ex->points;
-      submit_batch(
-          oracle, std::move(points),
-          [ex, held, done](BatchResult r) {
-            if (r.error) {
-              done(VitalityBatchResult{{}, nullptr, r.error});
-              return;
-            }
-            done(VitalityBatchResult{assemble_vitality(*held, *ex, r.answers),
+template <class W>
+void QueryService::submit(std::shared_ptr<const Snapshot> oracle,
+                          std::vector<typename W::Request> queries, WorkloadCallback<W> done,
+                          Deadline deadline) {
+  if constexpr (is_point_workload<W>) {
+    submit_batch(std::move(oracle), std::move(queries), std::move(done), deadline);
+  } else {
+    MSRP_REQUIRE(oracle != nullptr, std::string("submit_") + W::kName + ": null oracle");
+    MSRP_REQUIRE(done != nullptr, std::string("submit_") + W::kName + ": null callback");
+    // Preparation runs on the pool; the resulting point batch chains
+    // through submit_batch (counter-driven, nobody blocks), and finish runs
+    // in its callback. Both hops check the deadline and fire
+    // "service.answer".
+    pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
+                  done = std::move(done), deadline]() mutable {
+      try {
+        (void)MSRP_FAILPOINT("service.answer");
+        if (deadline_expired(deadline)) {
+          throw DeadlineExceeded("batch expired before answering");
+        }
+        using Plan = typename WorkloadOps<W>::Plan;
+        auto plan = std::make_shared<Plan>(WorkloadOps<W>::prepare(*this, *oracle, queries, deadline));
+        queries_served_.fetch_add(plan->answered_locally, std::memory_order_relaxed);
+        auto held = std::make_shared<const std::vector<typename W::Request>>(std::move(queries));
+        std::vector<Query> points = std::move(plan->points);
+        submit_batch(
+            oracle, std::move(points),
+            [plan, held, done](BatchResult r) {
+              if (r.error) {
+                done(WorkloadResult<W>{{}, nullptr, r.error});
+                return;
+              }
+              done(WorkloadResult<W>{WorkloadOps<W>::finish(*held, *plan, r.answers),
                                      std::move(r.oracle), nullptr});
-          },
-          deadline);
-    } catch (...) {
-      done(VitalityBatchResult{{}, nullptr, std::current_exception()});
-    }
-  });
+            },
+            deadline);
+      } catch (...) {
+        done(WorkloadResult<W>{{}, nullptr, std::current_exception()});
+      }
+    });
+  }
 }
 
-void QueryService::submit_vickrey(std::shared_ptr<const Snapshot> oracle,
-                                  std::vector<VickreyQuery> queries, VickreyCallback done,
-                                  Deadline deadline) {
-  MSRP_REQUIRE(oracle != nullptr, "submit_vickrey: null oracle");
-  MSRP_REQUIRE(done != nullptr, "submit_vickrey: null callback");
-  pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
-                done = std::move(done), deadline]() mutable {
-    try {
-      (void)MSRP_FAILPOINT("service.answer");
-      if (deadline_expired(deadline)) {
-        throw DeadlineExceeded("batch expired before answering");
-      }
-      auto ex = std::make_shared<const PathExpansion>(expand_paths<VickreyQuery>(*oracle, queries));
-      auto held = std::make_shared<const std::vector<VickreyQuery>>(std::move(queries));
-      std::vector<Query> points = ex->points;
-      submit_batch(
-          oracle, std::move(points),
-          [ex, held, done](BatchResult r) {
-            if (r.error) {
-              done(VickreyBatchResult{{}, nullptr, r.error});
-              return;
-            }
-            done(VickreyBatchResult{assemble_vickrey(*held, *ex, r.answers),
-                                    std::move(r.oracle), nullptr});
-          },
-          deadline);
-    } catch (...) {
-      done(VickreyBatchResult{{}, nullptr, std::current_exception()});
-    }
-  });
-}
-
-void QueryService::submit_kfail(std::shared_ptr<const Snapshot> oracle,
-                                std::vector<KFailQuery> queries, BatchCallback done,
-                                Deadline deadline) {
-  MSRP_REQUIRE(oracle != nullptr, "submit_kfail: null oracle");
-  MSRP_REQUIRE(done != nullptr, "submit_kfail: null callback");
-  // The |F| != 1 answers (base reads and bounded BFS) compute right here on
-  // the pool task; only the |F| == 1 point queries chain into submit_batch.
-  pool_.submit([this, oracle = std::move(oracle), queries = std::move(queries),
-                done = std::move(done), deadline]() mutable {
-    try {
-      (void)MSRP_FAILPOINT("service.answer");
-      if (deadline_expired(deadline)) {
-        throw DeadlineExceeded("batch expired before answering");
-      }
-      auto out = std::make_shared<std::vector<Dist>>();
-      std::vector<Query> points;
-      auto point_slot = std::make_shared<std::vector<std::size_t>>();
-      split_kfail(*this, *oracle, queries, *out, points, *point_slot, deadline);
-      queries_served_.fetch_add(queries.size() - points.size(), std::memory_order_relaxed);
-      if (points.empty()) {
-        done(BatchResult{std::move(*out), std::move(oracle), nullptr});
-        return;
-      }
-      submit_batch(
-          oracle, std::move(points),
-          [out, point_slot, done](BatchResult r) {
-            if (r.error) {
-              done(BatchResult{{}, nullptr, r.error});
-              return;
-            }
-            for (std::size_t j = 0; j < r.answers.size(); ++j) {
-              (*out)[(*point_slot)[j]] = r.answers[j];
-            }
-            done(BatchResult{std::move(*out), std::move(r.oracle), nullptr});
-          },
-          deadline);
-    } catch (...) {
-      done(BatchResult{{}, nullptr, std::current_exception()});
-    }
-  });
-}
+#define MSRP_INSTANTIATE_WORKLOAD(W)                                                    \
+  template std::vector<W::Answer> QueryService::batch<W>(                               \
+      const Snapshot&, std::span<const W::Request>, Deadline);                          \
+  template void QueryService::submit<W>(std::shared_ptr<const Snapshot>,                \
+                                        std::vector<W::Request>, WorkloadCallback<W>, Deadline)
+MSRP_INSTANTIATE_WORKLOAD(PointWorkload);
+MSRP_INSTANTIATE_WORKLOAD(VitalityWorkload);
+MSRP_INSTANTIATE_WORKLOAD(VickreyWorkload);
+MSRP_INSTANTIATE_WORKLOAD(KFailWorkload);
+#undef MSRP_INSTANTIATE_WORKLOAD
 
 }  // namespace msrp::service

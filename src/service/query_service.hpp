@@ -58,18 +58,19 @@
 #include "service/oracle_cache.hpp"
 #include "service/query.hpp"
 #include "service/snapshot.hpp"
-#include "service/thread_pool.hpp"
 #include "service/workloads.hpp"
 #include "util/deadline.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msrp::service {
 
 class ShardRouter;
 
-/// Outcome of one asynchronous batch.
-struct BatchResult {
-  /// answers[i] corresponds to queries[i]; empty when error is set.
-  std::vector<Dist> answers;
+/// Outcome of one asynchronous batch of any workload.
+template <class Answer>
+struct BatchResultOf {
+  /// answers[i] answers queries[i]; empty when error is set.
+  std::vector<Answer> answers;
   /// The oracle that answered (freshly built or cache-hit). Holding it here
   /// pins it against cache eviction for as long as the result lives.
   std::shared_ptr<const Snapshot> oracle;
@@ -78,28 +79,18 @@ struct BatchResult {
   std::exception_ptr error;
 };
 
-/// Invoked exactly once per callback-flavoured submit_batch, from a pool
-/// worker thread. Must not block on futures of the same service's pool, and
+template <class W>
+using WorkloadResult = BatchResultOf<typename W::Answer>;
+
+/// Invoked exactly once per callback-flavoured submit, from a pool worker
+/// thread. Must not block on futures of the same service's pool, and
 /// should not throw — an escaping exception cannot trigger a second
 /// delivery, but it is lost to the pool's fire-and-forget error slot.
-using BatchCallback = std::function<void(BatchResult)>;
+template <class W>
+using WorkloadCallback = std::function<void(WorkloadResult<W>)>;
 
-/// Outcome of one asynchronous vitality batch (TOP_K_VITAL); same error
-/// channel contract as BatchResult.
-struct VitalityBatchResult {
-  std::vector<VitalityResult> results;  ///< results[i] answers queries[i]
-  std::shared_ptr<const Snapshot> oracle;
-  std::exception_ptr error;
-};
-using VitalityCallback = std::function<void(VitalityBatchResult)>;
-
-/// Outcome of one asynchronous Vickrey batch (VICKREY_PRICES).
-struct VickreyBatchResult {
-  std::vector<VickreyResult> results;
-  std::shared_ptr<const Snapshot> oracle;
-  std::exception_ptr error;
-};
-using VickreyCallback = std::function<void(VickreyBatchResult)>;
+using BatchResult = WorkloadResult<PointWorkload>;
+using BatchCallback = WorkloadCallback<PointWorkload>;
 
 class QueryService {
  public:
@@ -168,7 +159,9 @@ class QueryService {
   /// path hands it to the router (whose collector enforces it mid-flight);
   /// either path throws DeadlineExceeded instead of answering late.
   std::vector<Dist> query_batch(const Snapshot& oracle, std::span<const Query> queries,
-                                Deadline deadline = kNoDeadline);
+                                Deadline deadline = kNoDeadline) {
+    return batch<PointWorkload>(oracle, queries, deadline);
+  }
 
   // ----- async API --------------------------------------------------------
 
@@ -194,50 +187,53 @@ class QueryService {
   void submit_batch(Graph g, std::vector<Vertex> sources, Config cfg,
                     std::vector<Query> queries, BatchCallback done);
 
-  // ----- workload API (the protocol v3 opcodes; see service/workloads.hpp) --
+  // ----- workload API (one path for every tag in service/workloads.hpp) ----
 
-  /// Top-k most-vital edges of each query's canonical s->t path. Expands
-  /// every query into one point query per path edge and answers them
-  /// through query_batch — so the sharded path and the in-process path
-  /// return byte-identical results — then ranks (vitality desc, position
-  /// asc) and truncates to k. Validation (source/target range, 1 <= k <=
-  /// kMaxTopKVital) throws before any work, like query_batch.
+  /// Answers a batch of workload W synchronously, with query_batch's
+  /// contract (validation throws before any work; a non-default deadline
+  /// throws DeadlineExceeded instead of answering late). The point tag is
+  /// the base executor; every other tag validates and expands its queries
+  /// into one point batch — so the sharded and in-process paths return
+  /// byte-identical results — then assembles the answers:
+  ///
+  ///   * vitality: one point query per canonical-path edge, ranked
+  ///     (vitality desc, position asc) and truncated to k (1 <= k <=
+  ///     kMaxTopKVital);
+  ///   * Vickrey: the same expansion, priced d(s,t,e) - d(s,t) in path
+  ///     order (kInfDist for bridges);
+  ///   * k-fail: |F| == 1 becomes a point query, |F| == 0 is the base
+  ///     distance, |F| == 2 runs a bounded BFS of G - F and therefore
+  ///     needs the graph behind the oracle — attach_graph() it (build()
+  ///     does so automatically) or the batch throws std::invalid_argument.
+  template <class W>
+  std::vector<typename W::Answer> batch(const Snapshot& oracle,
+                                        std::span<const typename W::Request> queries,
+                                        Deadline deadline = kNoDeadline);
+
+  /// Async flavour of batch<W>: validation, expansion, and answering all
+  /// run on the pool; `done` fires exactly once from a worker (error
+  /// channel on validation failure, DeadlineExceeded, or a missing
+  /// attached graph). Non-point tags take one pool hop to prepare, then
+  /// chain their point batch through submit_batch — the same failpoints,
+  /// deadline checks, and shard routing apply.
+  template <class W>
+  void submit(std::shared_ptr<const Snapshot> oracle, std::vector<typename W::Request> queries,
+              WorkloadCallback<W> done, Deadline deadline = kNoDeadline);
+
   std::vector<VitalityResult> vitality_batch(const Snapshot& oracle,
                                              std::span<const VitalityQuery> queries,
-                                             Deadline deadline = kNoDeadline);
-
-  /// Vickrey payments along each query's canonical path: price(e) =
-  /// d(s,t,e) - d(s,t) in path order, kInfDist for bridges. Same expansion
-  /// machinery (and therefore the same bytes on every serving path) as
-  /// vitality_batch.
+                                             Deadline deadline = kNoDeadline) {
+    return batch<VitalityWorkload>(oracle, queries, deadline);
+  }
   std::vector<VickreyResult> vickrey_batch(const Snapshot& oracle,
                                            std::span<const VickreyQuery> queries,
-                                           Deadline deadline = kNoDeadline);
-
-  /// d(s, t) avoiding each query's failure set F, |F| <= kMaxKFailEdges.
-  /// |F| == 1 routes through the point-query path (O(1) oracle reads,
-  /// sharded when configured); |F| == 0 is the base distance; |F| == 2
-  /// runs a bounded BFS of G - F and therefore needs the graph behind the
-  /// oracle — attach_graph() it (build() does so automatically) or the
-  /// batch throws std::invalid_argument.
+                                           Deadline deadline = kNoDeadline) {
+    return batch<VickreyWorkload>(oracle, queries, deadline);
+  }
   std::vector<Dist> kfail_batch(const Snapshot& oracle, std::span<const KFailQuery> queries,
-                                Deadline deadline = kNoDeadline);
-
-  /// Async flavours: validation, expansion, and answering all run on the
-  /// pool; `done` fires exactly once from a worker (error channel on
-  /// validation failure, DeadlineExceeded, or a missing attached graph).
-  /// These share submit_batch's machinery — the same failpoints, deadline
-  /// checks, and shard routing apply.
-  void submit_vitality(std::shared_ptr<const Snapshot> oracle,
-                       std::vector<VitalityQuery> queries, VitalityCallback done,
-                       Deadline deadline = kNoDeadline);
-  void submit_vickrey(std::shared_ptr<const Snapshot> oracle,
-                      std::vector<VickreyQuery> queries, VickreyCallback done,
-                      Deadline deadline = kNoDeadline);
-  /// K-fail answers are plain distances, so the callback reuses
-  /// BatchResult/BatchCallback.
-  void submit_kfail(std::shared_ptr<const Snapshot> oracle, std::vector<KFailQuery> queries,
-                    BatchCallback done, Deadline deadline = kNoDeadline);
+                                Deadline deadline = kNoDeadline) {
+    return batch<KFailWorkload>(oracle, queries, deadline);
+  }
 
   /// Attaches the graph behind an oracle digest so 2-edge-failure queries
   /// (a BFS of G - F, not a table read) can be served. build() attaches
@@ -281,6 +277,9 @@ class QueryService {
     std::vector<std::size_t> shard_begin;  // sigma+1 prefix bounds into order
   };
   static BatchPlan plan_shards(const Snapshot& oracle, std::span<const Query> queries);
+  /// The point executor behind batch<PointWorkload>.
+  std::vector<Dist> answer_points(const Snapshot& oracle, std::span<const Query> queries,
+                                  Deadline deadline);
   static void answer_range(const Snapshot& oracle, std::span<const Query> queries,
                            const BatchPlan& plan, std::span<Dist> out, std::uint32_t si,
                            std::size_t lo, std::size_t hi);

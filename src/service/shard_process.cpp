@@ -188,29 +188,18 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
         continue;
       }
       if (++idle_spins <= bo.spin_rounds) continue;  // spin-first fast path
-      if (bo.use_doorbell) {
-        // Park on the request doorbell: snapshot the word, re-check the
-        // real conditions (requests/stop may have landed between the empty
-        // pop above and here — the ring always precedes the futex wake on
-        // the supervisor side), then wait. The bounded timeout doubles as
-        // the orphan-check cadence, so a supervisor that died without
-        // raising stop is still noticed within one wait period.
-        const std::uint32_t seen = ch->request_doorbell().load(std::memory_order_acquire);
-        if (ch->requests_pending() == 0 &&
-            ch->stop_flag().load(std::memory_order_acquire) == 0) {
-          util::futex_wait_u32(ch->request_doorbell(), seen, bo.wait_timeout_us);
-        }
-        if (!parent_alive(original_ppid)) break;
-      } else {
-        // Polling fallback: sleep between polls; check for an orphaned
-        // supervisor every ~1024 sleeps.
-        if (bo.sleep_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(bo.sleep_us));
-        }
-        if ((idle_spins & 1023) == 0 && !parent_alive(original_ppid)) break;
+      // Park on the request doorbell: snapshot the word, re-check the real
+      // conditions (requests/stop may have landed between the empty pop
+      // above and here — the ring always precedes the futex wake on the
+      // supervisor side), then wait. The bounded timeout doubles as the
+      // orphan-check cadence, so a supervisor that died without raising
+      // stop is still noticed within one wait period.
+      const std::uint32_t seen = ch->request_doorbell().load(std::memory_order_acquire);
+      if (ch->requests_pending() == 0 &&
+          ch->stop_flag().load(std::memory_order_acquire) == 0) {
+        util::futex_wait_u32(ch->request_doorbell(), seen, bo.wait_timeout_us);
       }
+      if (!parent_alive(original_ppid)) break;
     }
     ch->worker_state().store(ShardChannel::kExited, std::memory_order_release);
     util::futex_wake_u32(ch->worker_state(), 1);

@@ -490,11 +490,8 @@ void ShardRouter::collector_main() {
       ++idle_rounds;
       const bool parked_phase = idle_rounds > opts_.backoff.spin_rounds;
       // Death checks cost a waitpid per outstanding shard, so pace them to
-      // ~10 ms: in doorbell mode every parked round IS one bounded wait;
-      // in polling mode every 512 sleeps.
-      const bool check_now = parked_phase && opts_.backoff.use_doorbell
-                                 ? true
-                                 : (idle_rounds % 512 == 0);
+      // one per bounded doorbell wait (or every 512 spin rounds).
+      const bool check_now = parked_phase || idle_rounds % 512 == 0;
       if (check_now && !active_.empty()) {
         ++stalled_checks;
         for (unsigned k = 0; k < shards_.size(); ++k) {
@@ -513,13 +510,7 @@ void ShardRouter::collector_main() {
         }
       }
       if (parked_phase) {
-        if (opts_.backoff.use_doorbell) {
-          util::futex_wait_u32(bell_->seq(), seen, opts_.backoff.wait_timeout_us);
-        } else if (opts_.backoff.sleep_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(opts_.backoff.sleep_us));
-        }
+        util::futex_wait_u32(bell_->seq(), seen, opts_.backoff.wait_timeout_us);
       }
     } catch (const std::exception& ex) {
       // A respawn failure or ring-invariant breach would otherwise strand

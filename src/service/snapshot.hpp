@@ -8,27 +8,22 @@
 /// layer: a versioned binary image decoded from memory with pointer
 /// arithmetic.
 ///
-/// Two on-disk formats share the magic and the version field; the
-/// byte-exact layouts, checksum coverage, and validation rules are
-/// specified in docs/SNAPSHOT_FORMAT.md. In short:
-///
-///   * v1 — compact LEB128 varints with delta-coded row cells under one
-///     trailing FNV-1a checksum. Smallest file; load cost proportional to
-///     the cell count (every cell decodes into owned tables).
-///   * v2 — fixed-width little-endian sections, 8-byte aligned, under a
-///     72-byte checksummed header. Built for zero-copy serving: a load
-///     maps (or bulk-reads) the image, verifies the metadata checksum and
-///     the tree/row-offset invariants in O(n + m) per source, and serves
-///     straight out of the image — the dominant cells payload is never
-///     decoded, copied, or (with LoadOptions::verify_cells off) even
-///     touched.
+/// The on-disk format (v2; byte-exact layout, checksum coverage, and
+/// validation rules in docs/SNAPSHOT_FORMAT.md) is fixed-width
+/// little-endian sections, 8-byte aligned, under a 72-byte checksummed
+/// header. Built for zero-copy serving: a load maps (or bulk-reads) the
+/// image, verifies the metadata checksum and the tree/row-offset
+/// invariants in O(n + m) per source, and serves straight out of the
+/// image — the dominant cells payload is never decoded, copied, or (with
+/// LoadOptions::verify_cells off) even touched. Any other version in the
+/// header is refused.
 ///
 /// The derived ancestry index (edge_child, DFS stamps) is recomputed from
 /// the parent arrays on every load path, which is what makes a validated
 /// snapshot memory-safe to query even if the cells are garbage: every
 /// avoiding() read is bounded by the validated row-offset table. The
-/// stored content digest is trusted under the metadata checksum; only v1
-/// loads and capture() recompute it from the cells.
+/// stored content digest is trusted under the metadata checksum; only
+/// capture() and slice() recompute it from the cells.
 ///
 /// Unlike SerializedResult the snapshot also stores the canonical trees,
 /// so a loaded snapshot answers avoiding(s, t, e) for arbitrary edge ids
@@ -49,11 +44,13 @@
 
 namespace msrp::service {
 
-enum class SnapshotFormat : std::uint32_t { kV1 = 1, kV2 = 2 };
+/// The one on-disk format; kept as a parameter so the encode/save call
+/// sites name the layout they produce.
+enum class SnapshotFormat : std::uint32_t { kV2 = 2 };
 
 struct SnapshotLoadOptions {
-  /// Serve a v2 file straight out of a memory mapping instead of bulk-
-  /// reading it (v1 files fall back to the buffered decoder either way).
+  /// Serve the file straight out of a memory mapping instead of bulk-
+  /// reading it.
   bool use_mmap = false;
   /// Verify the v2 cells checksum at load time. Off is the zero-copy
   /// fast path: corrupt cells then yield wrong answers, never unsafe
@@ -104,17 +101,15 @@ class Snapshot {
   /// Serves a snapshot straight out of caller-provided bytes (a v2 image
   /// in shared memory, an embedded blob, ...). The tables alias `data`;
   /// `anchor` keeps the bytes alive for the snapshot's lifetime. Runs the
-  /// same validation as load(); is_mapped() is true for the result. v1
-  /// images are decoded into owned storage instead (anchor unused).
+  /// same validation as load(); is_mapped() is true for the result.
   static Snapshot attach(const std::uint8_t* data, std::size_t size,
                          std::shared_ptr<const void> anchor, const LoadOptions& opts = {});
 
   /// Encodes into the requested on-disk format (one bulk write).
   void write(std::ostream& os, SnapshotFormat format = SnapshotFormat::kV2) const;
 
-  /// Decodes either format (sniffed from the version field); throws
-  /// std::invalid_argument on a bad magic/version, truncation, checksum
-  /// mismatch, or inconsistent tables.
+  /// Decodes a v2 image; throws std::invalid_argument on a bad
+  /// magic/version, truncation, checksum mismatch, or inconsistent tables.
   static Snapshot read(std::istream& is);
 
   /// File wrappers; throw std::runtime_error on I/O failure and
@@ -190,7 +185,7 @@ class Snapshot {
   struct SourceTable {
     Vertex root = kNoVertex;
     // Views over the primary arrays; alias the owned *_store vectors for
-    // captured/v1/bulk-read snapshots, or the file image for v2 loads.
+    // captured/sliced snapshots, or the image for loaded ones.
     std::span<const Dist> dist;                // n; kInfDist = unreachable
     std::span<const Vertex> parent;            // n; kNoVertex for root/unreachable
     std::span<const EdgeId> parent_edge;       // n; kNoEdge for root/unreachable
@@ -226,9 +221,7 @@ class Snapshot {
   /// Folds the full semantic content — cells included — into a digest.
   std::uint64_t compute_content_digest() const;
 
-  std::vector<std::uint8_t> encode_v1() const;
   std::vector<std::uint8_t> encode_v2() const;
-  static Snapshot decode_v1(const std::uint8_t* data, std::size_t size);
   /// Builds a snapshot whose tables alias `data`; `anchor` keeps the bytes
   /// alive (a mapping or an owned buffer).
   static Snapshot attach_v2(const std::uint8_t* data, std::size_t size,

@@ -1,14 +1,24 @@
 /// \file
-/// Query and result shapes for the served workloads beyond plain d(s,t,e):
-/// top-k most-vital edges, Vickrey edge pricing, and k-edge-failure
-/// distances. These are the in-process vocabulary shared by the
-/// QueryService typed entry points, the wire codec (protocol v3 frames
-/// carry exactly these fields), and the differential tests — one
-/// definition, so a wire round trip and a local call cannot drift.
+/// The served workloads, each named once as a tag type: point queries
+/// d(s, t, e), top-k most-vital edges, Vickrey edge pricing, and k-edge-
+/// failure distances. A tag carries its request and answer types; every
+/// layer specializes only what it owns and runs one template over the tag
+/// for everything else:
+///
+///   * service (query_service.cpp) — `prepare` (validate, expand into
+///     point queries) and `finish` (assemble the point answers); the point
+///     tag is the base executor the other three reduce to;
+///   * net (protocol.hpp/.cpp) — the per-record codec and the
+///     request/answer FrameType pair;
+///   * tools (tools/batch_io.hpp) — the text line format.
+///
+/// Adding a workload means adding one tag here (and to Workloads) plus
+/// those specializations; no dispatch control flow changes.
 ///
 /// Semantics (all relative to the oracle's canonical BFS trees, so every
 /// serving path — in-process, mmap, sharded, wire — answers identically):
 ///
+///   * Query(s, t, e): d(s, t, e), one O(1) table read (Theorem 26).
 ///   * VitalityQuery(s, t, k): the k edges of the canonical s->t path whose
 ///     removal hurts most. Each entry carries the edge id, its position on
 ///     the path (0 = incident to s), and the replacement distance
@@ -26,7 +36,9 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "service/query.hpp"
@@ -98,5 +110,75 @@ struct KFailQuery {
   std::vector<EdgeId> fails;
   friend bool operator==(const KFailQuery&, const KFailQuery&) = default;
 };
+
+// ----- workload tags --------------------------------------------------------
+
+struct PointWorkload {
+  using Request = Query;
+  using Answer = Dist;
+  static constexpr const char* kName = "point";
+};
+
+struct VitalityWorkload {
+  using Request = VitalityQuery;
+  using Answer = VitalityResult;
+  static constexpr const char* kName = "vitality";
+};
+
+struct VickreyWorkload {
+  using Request = VickreyQuery;
+  using Answer = VickreyResult;
+  static constexpr const char* kName = "vickrey";
+};
+
+/// K-fail answers are plain distances (kInfDist = unreachable once F is
+/// removed).
+struct KFailWorkload {
+  using Request = KFailQuery;
+  using Answer = Dist;
+  static constexpr const char* kName = "kfail";
+};
+
+template <class... Ws>
+struct WorkloadList {};
+
+/// Every served workload, in wire-opcode order.
+using Workloads = WorkloadList<PointWorkload, VitalityWorkload, VickreyWorkload, KFailWorkload>;
+
+template <class W>
+inline constexpr bool is_point_workload = std::is_same_v<W, PointWorkload>;
+
+namespace detail {
+
+template <class W, class... Ws>
+constexpr std::size_t index_in(WorkloadList<Ws...>) {
+  constexpr bool match[] = {std::is_same_v<W, Ws>...};
+  std::size_t i = 0;
+  while (i < sizeof...(Ws) && !match[i]) ++i;
+  return i;
+}
+
+template <class... Ws>
+constexpr std::size_t size_of(WorkloadList<Ws...>) {
+  return sizeof...(Ws);
+}
+
+}  // namespace detail
+
+inline constexpr std::size_t kNumWorkloads = detail::size_of(Workloads{});
+
+/// Position of W in Workloads (a dense id for per-workload tables).
+template <class W>
+inline constexpr std::size_t workload_index = detail::index_in<W>(Workloads{});
+
+/// Calls `f.template operator()<W>()` for each tag in Workloads order until
+/// one returns true; returns whether one did. This is the one dispatch
+/// loop over workloads (frame type, reply kind, tool flag).
+template <class F>
+bool any_workload(F&& f) {
+  return [&f]<class... Ws>(WorkloadList<Ws...>) {
+    return (f.template operator()<Ws>() || ...);
+  }(Workloads{});
+}
 
 }  // namespace msrp::service

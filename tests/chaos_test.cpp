@@ -7,13 +7,12 @@
 // write-stall eviction, and shard-worker recovery (kill while futex-
 // parked, corrupted attach detected and healed by respawn).
 //
-// The protocol-v3 workload opcodes get the same treatment: every typed
-// entry point (vitality, Vickrey, k-fail) honors expired deadlines on both
-// the sync and callback paths, a parked KFAIL_BATCH surfaces DEADLINE on
-// the wire, admission control answers BUSY to a VITALITY_BATCH and the
-// typed retry wrapper replays it byte-identically, and a service.answer
-// stall turns each workload batch into an ERROR frame without hurting the
-// connection.
+// Every workload (point, vitality, Vickrey, k-fail) gets the same
+// treatment: the typed service entry points honor expired deadlines on both
+// the sync and callback paths, one typed suite drives each workload through
+// wire BUSY + retry and a wire deadline expiring in a wedged pool, and a
+// service.answer stall turns each workload batch into an ERROR frame
+// without hurting the connection.
 //
 // Failpoint *sites* are compiled in only under -DMSRP_FAILPOINTS=ON; the
 // fail:: control functions are always linked, so the framework tests run
@@ -416,26 +415,26 @@ TEST(ServiceDeadline, WorkloadEntryPointsHonorExpiredDeadlines) {
   EXPECT_THROW(fx.svc.vickrey_batch(*fx.oracle, pq, past), DeadlineExceeded);
   EXPECT_THROW(fx.svc.kfail_batch(*fx.oracle, fq, past), DeadlineExceeded);
 
-  std::promise<service::VitalityBatchResult> vp;
-  fx.svc.submit_vitality(fx.oracle, vq,
-                         [&](service::VitalityBatchResult r) { vp.set_value(std::move(r)); },
+  std::promise<service::WorkloadResult<service::VitalityWorkload>> vp;
+  fx.svc.submit<service::VitalityWorkload>(fx.oracle, vq,
+                         [&](service::WorkloadResult<service::VitalityWorkload> r) { vp.set_value(std::move(r)); },
                          past);
-  const service::VitalityBatchResult vr = vp.get_future().get();
+  const service::WorkloadResult<service::VitalityWorkload> vr = vp.get_future().get();
   ASSERT_NE(vr.error, nullptr);
-  EXPECT_TRUE(vr.results.empty());
+  EXPECT_TRUE(vr.answers.empty());
   EXPECT_THROW(std::rethrow_exception(vr.error), DeadlineExceeded);
 
-  std::promise<service::VickreyBatchResult> pp;
-  fx.svc.submit_vickrey(fx.oracle, pq,
-                        [&](service::VickreyBatchResult r) { pp.set_value(std::move(r)); },
+  std::promise<service::WorkloadResult<service::VickreyWorkload>> pp;
+  fx.svc.submit<service::VickreyWorkload>(fx.oracle, pq,
+                        [&](service::WorkloadResult<service::VickreyWorkload> r) { pp.set_value(std::move(r)); },
                         past);
-  const service::VickreyBatchResult pr = pp.get_future().get();
+  const service::WorkloadResult<service::VickreyWorkload> pr = pp.get_future().get();
   ASSERT_NE(pr.error, nullptr);
-  EXPECT_TRUE(pr.results.empty());
+  EXPECT_TRUE(pr.answers.empty());
   EXPECT_THROW(std::rethrow_exception(pr.error), DeadlineExceeded);
 
   std::promise<service::BatchResult> fp;
-  fx.svc.submit_kfail(fx.oracle, fq,
+  fx.svc.submit<service::KFailWorkload>(fx.oracle, fq,
                       [&](service::BatchResult r) { fp.set_value(std::move(r)); }, past);
   const service::BatchResult fr = fp.get_future().get();
   ASSERT_NE(fr.error, nullptr);
@@ -489,26 +488,26 @@ TEST(ServiceDeadline, DelayFailpointFailsEachWorkloadBatchInsteadOfAnsweringLate
   };
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  std::promise<service::VitalityBatchResult> vp;
-  fx.svc.submit_vitality(fx.oracle, vitality_queries(fx, 120, 25),
-                         [&](service::VitalityBatchResult r) { vp.set_value(std::move(r)); },
+  std::promise<service::WorkloadResult<service::VitalityWorkload>> vp;
+  fx.svc.submit<service::VitalityWorkload>(fx.oracle, vitality_queries(fx, 120, 25),
+                         [&](service::WorkloadResult<service::VitalityWorkload> r) { vp.set_value(std::move(r)); },
                          deadline_after_ms(kDeadlineMs));
-  const service::VitalityBatchResult vr = vp.get_future().get();
-  EXPECT_TRUE(vr.results.empty());
+  const service::WorkloadResult<service::VitalityWorkload> vr = vp.get_future().get();
+  EXPECT_TRUE(vr.answers.empty());
   expect_deadline_error(vr.error);
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  std::promise<service::VickreyBatchResult> pp;
-  fx.svc.submit_vickrey(fx.oracle, vickrey_queries(fx, 120, 26),
-                        [&](service::VickreyBatchResult r) { pp.set_value(std::move(r)); },
+  std::promise<service::WorkloadResult<service::VickreyWorkload>> pp;
+  fx.svc.submit<service::VickreyWorkload>(fx.oracle, vickrey_queries(fx, 120, 26),
+                        [&](service::WorkloadResult<service::VickreyWorkload> r) { pp.set_value(std::move(r)); },
                         deadline_after_ms(kDeadlineMs));
-  const service::VickreyBatchResult pr = pp.get_future().get();
-  EXPECT_TRUE(pr.results.empty());
+  const service::WorkloadResult<service::VickreyWorkload> pr = pp.get_future().get();
+  EXPECT_TRUE(pr.answers.empty());
   expect_deadline_error(pr.error);
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
   std::promise<service::BatchResult> fp;
-  fx.svc.submit_kfail(fx.oracle, kfail_queries(fx, 120, 27),
+  fx.svc.submit<service::KFailWorkload>(fx.oracle, kfail_queries(fx, 120, 27),
                       [&](service::BatchResult r) { fp.set_value(std::move(r)); },
                       deadline_after_ms(kDeadlineMs));
   const service::BatchResult fr = fp.get_future().get();
@@ -671,43 +670,6 @@ struct RegistryTestServer {
   }
 };
 
-TEST(NetDeadline, BatchParkedPastItsDeadlineReturnsDeadlineError) {
-  SKIP_WITHOUT_EPOLL();
-  ChaosFixture fx;
-  TestServer ts(fx.svc, fx.oracle);
-  net::Client client(ts.client_options());
-  const auto queries = fx.random_queries(300, 10);
-
-  auto release = wedge_pool(fx.svc);
-  const std::uint64_t id = client.send(queries, std::nullopt, /*deadline_ms=*/30);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  release.set_value();
-
-  EXPECT_THROW(client.wait(id), net::DeadlineError);
-  EXPECT_GE(ts.server.stats().deadline_exceeded, 1u);
-}
-
-// The typed opcodes ride the same wire-deadline machinery: a KFAIL_BATCH
-// parked behind a wedged pool past its budget comes back as DEADLINE, and
-// the connection then serves a clean replay of the same batch.
-TEST(NetDeadline, KFailBatchParkedPastItsDeadlineReturnsDeadlineError) {
-  SKIP_WITHOUT_EPOLL();
-  ChaosFixture fx;
-  const auto queries = kfail_queries(fx, 150, 16);
-  const auto want = fx.svc.kfail_batch(*fx.oracle, queries);
-  TestServer ts(fx.svc, fx.oracle);
-  net::Client client(ts.client_options());
-
-  auto release = wedge_pool(fx.svc);
-  const std::uint64_t id = client.send_kfail(queries, std::nullopt, /*deadline_ms=*/30);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  release.set_value();
-
-  EXPECT_THROW(client.wait_kfail(id), net::DeadlineError);
-  EXPECT_GE(ts.server.stats().deadline_exceeded, 1u);
-  EXPECT_EQ(client.kfail_batch(queries), want);
-}
-
 TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
   SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
@@ -823,19 +785,19 @@ TEST(NetChaos, StalledAnswerFailsEachWorkloadBatchButNotTheConnection) {
   // client-side); the connection survives and an immediate clean resend on
   // the SAME socket matches the in-process answers.
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.vitality_batch(vq, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.batch<service::VitalityWorkload>(vq, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
-  EXPECT_EQ(client.vitality_batch(vq), fx.svc.vitality_batch(*fx.oracle, vq));
+  EXPECT_EQ(client.batch<service::VitalityWorkload>(vq), fx.svc.vitality_batch(*fx.oracle, vq));
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.vickrey_batch(pq, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.batch<service::VickreyWorkload>(pq, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
-  EXPECT_EQ(client.vickrey_batch(pq), fx.svc.vickrey_batch(*fx.oracle, pq));
+  EXPECT_EQ(client.batch<service::VickreyWorkload>(pq), fx.svc.vickrey_batch(*fx.oracle, pq));
 
   ASSERT_TRUE(fail::set("service.answer", "delay:180000*1"));
-  EXPECT_THROW(client.kfail_batch(fq, std::nullopt, /*deadline_ms=*/60),
+  EXPECT_THROW(client.batch<service::KFailWorkload>(fq, std::nullopt, /*deadline_ms=*/60),
                net::DeadlineError);
-  EXPECT_EQ(client.kfail_batch(fq), fx.svc.kfail_batch(*fx.oracle, fq));
+  EXPECT_EQ(client.batch<service::KFailWorkload>(fq), fx.svc.kfail_batch(*fx.oracle, fq));
   fail::clear("service.answer");
 
   EXPECT_GE(ts.server.stats().deadline_exceeded, 3u);
@@ -910,16 +872,63 @@ TEST(NetRegistryChaos, FailedWireRegistrationIsListableWithItsReason) {
   EXPECT_TRUE(client.list_oracles().empty());
 }
 
-// Admission control treats a VITALITY_BATCH exactly like a point batch:
-// overflow past the zero-length tenant queue is answered BUSY, BUSY means
-// "did not run", and the typed retry wrapper replays it byte-identically.
-TEST(NetRegistryChaos, VitalityBusySignalsAndTypedRetrySucceeds) {
+// ------------------------------------------- every workload, every path
+//
+// One typed suite over the four workload tags (service/workloads.hpp): the
+// wire BUSY and wire-deadline paths are the same code for every workload,
+// and each tag proves it.
+
+template <class W>
+std::vector<typename W::Request> requests_for(const ChaosFixture& fx, std::size_t count,
+                                              std::uint64_t seed);
+template <>
+std::vector<Query> requests_for<service::PointWorkload>(const ChaosFixture& fx,
+                                                         std::size_t count, std::uint64_t seed) {
+  return fx.random_queries(count, seed);
+}
+template <>
+std::vector<service::VitalityQuery> requests_for<service::VitalityWorkload>(
+    const ChaosFixture& fx, std::size_t count, std::uint64_t seed) {
+  return vitality_queries(fx, count, seed);
+}
+template <>
+std::vector<service::VickreyQuery> requests_for<service::VickreyWorkload>(
+    const ChaosFixture& fx, std::size_t count, std::uint64_t seed) {
+  return vickrey_queries(fx, count, seed);
+}
+template <>
+std::vector<service::KFailQuery> requests_for<service::KFailWorkload>(const ChaosFixture& fx,
+                                                                      std::size_t count,
+                                                                      std::uint64_t seed) {
+  return kfail_queries(fx, count, seed);
+}
+
+template <class W>
+class WireWorkload : public ::testing::Test {};
+
+struct WorkloadName {
+  template <class W>
+  static std::string GetName(int) {
+    return W::kName;
+  }
+};
+
+using AllWorkloads = ::testing::Types<service::PointWorkload, service::VitalityWorkload,
+                                      service::VickreyWorkload, service::KFailWorkload>;
+TYPED_TEST_SUITE(WireWorkload, AllWorkloads, WorkloadName);
+
+// Admission control treats every workload alike: overflow past the
+// zero-length tenant queue is answered BUSY, BUSY means "did not run", and
+// an identical resend — by hand or through the retry wrapper — replays it
+// to the same answers.
+TYPED_TEST(WireWorkload, BusySignalsAndRetryReplaysIdentically) {
+  using W = TypeParam;
   SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
-  const auto b1 = vitality_queries(fx, 200, 61);
-  const auto b2 = vitality_queries(fx, 100, 62);
-  const auto want1 = fx.svc.vitality_batch(*fx.oracle, b1);
-  const auto want2 = fx.svc.vitality_batch(*fx.oracle, b2);
+  const auto b1 = requests_for<W>(fx, 200, 61);
+  const auto b2 = requests_for<W>(fx, 100, 62);
+  const auto want1 = fx.svc.batch<W>(*fx.oracle, b1);
+  const auto want2 = fx.svc.batch<W>(*fx.oracle, b2);
 
   net::ServerOptions sopts;
   sopts.dispatch = {.per_tenant_inflight = 1, .per_tenant_queue = 0, .total_inflight = 4};
@@ -929,22 +938,44 @@ TEST(NetRegistryChaos, VitalityBusySignalsAndTypedRetrySucceeds) {
   // Wedge the pool so the first batch deterministically stays in flight;
   // the second then overflows the zero-length queue.
   std::promise<void> release = wedge_pool(fx.svc);
-  const std::uint64_t id1 = client.send_vitality(b1);
-  const std::uint64_t id2 = client.send_vitality(b2);
+  const std::uint64_t id1 = client.send<W>(b1);
+  const std::uint64_t id2 = client.send<W>(b2);
   try {
-    client.wait_vitality(id2);
+    client.wait<W>(id2);
     FAIL() << "expected BUSY";
   } catch (const net::BusyError& ex) {
     EXPECT_NE(std::string(ex.what()).find("busy"), std::string::npos);
   }
   release.set_value();
-  EXPECT_EQ(client.wait_vitality(id1), want1);
+  EXPECT_EQ(client.wait<W>(id1), want1);
   EXPECT_EQ(ts.server.stats().busy_rejected, 1u);
 
+  EXPECT_EQ(client.batch<W>(b2), want2);
   net::RetryPolicy policy;
   policy.max_attempts = 6;
   policy.initial_backoff_ms = 5;
-  EXPECT_EQ(client.vitality_batch_retry(b2, policy), want2);
+  EXPECT_EQ(client.batch_retry<W>(b2, policy), want2);
+}
+
+// A batch parked behind a wedged pool past its wire budget comes back as
+// DEADLINE, and the connection then serves a clean replay of it.
+TYPED_TEST(WireWorkload, BatchParkedPastItsDeadlineReturnsDeadlineError) {
+  using W = TypeParam;
+  SKIP_WITHOUT_EPOLL();
+  ChaosFixture fx;
+  const auto queries = requests_for<W>(fx, 150, 16);
+  const auto want = fx.svc.batch<W>(*fx.oracle, queries);
+  TestServer ts(fx.svc, fx.oracle);
+  net::Client client(ts.client_options());
+
+  auto release = wedge_pool(fx.svc);
+  const std::uint64_t id = client.send<W>(queries, std::nullopt, /*deadline_ms=*/30);
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  release.set_value();
+
+  EXPECT_THROW(client.wait<W>(id), net::DeadlineError);
+  EXPECT_GE(ts.server.stats().deadline_exceeded, 1u);
+  EXPECT_EQ(client.batch<W>(queries), want);
 }
 
 // ------------------------------------------------------ shard-worker chaos

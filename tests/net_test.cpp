@@ -98,12 +98,12 @@ void expect_sample_frames(std::vector<Frame> frames) {
   EXPECT_EQ(hello.sources, (std::vector<Vertex>{0, 17, 41}));
 
   EXPECT_EQ(frames[1].type, FrameType::kQueryBatch);
-  const net::QueryBatchFrame qb = net::decode_query_batch(frames[1].payload);
+  const net::BatchFrame<service::PointWorkload> qb = net::decode_batch<service::PointWorkload>(frames[1].payload);
   EXPECT_EQ(qb.request_id, 7u);
   EXPECT_EQ(qb.queries, (std::vector<Query>{{0, 5, 3}, {17, 99, 0}}));
 
   EXPECT_EQ(frames[2].type, FrameType::kAnswerBatch);
-  const net::AnswerBatchFrame ab = net::decode_answer_batch(frames[2].payload);
+  const net::AnswerFrame<service::PointWorkload> ab = net::decode_answer<service::PointWorkload>(frames[2].payload);
   EXPECT_EQ(ab.request_id, 7u);
   EXPECT_EQ(ab.answers, (std::vector<Dist>{4, kInfDist}));
 
@@ -190,7 +190,7 @@ TEST(FrameDecoderAdversarial, ZeroLengthBatchIsValid) {
   dec.feed(bytes);
   const auto frame = dec.next();
   ASSERT_TRUE(frame.has_value());
-  const net::QueryBatchFrame qb = net::decode_query_batch(frame->payload);
+  const net::BatchFrame<service::PointWorkload> qb = net::decode_batch<service::PointWorkload>(frame->payload);
   EXPECT_EQ(qb.request_id, 5u);
   EXPECT_TRUE(qb.queries.empty());
 }
@@ -226,11 +226,11 @@ TEST(FrameDecoderAdversarial, LyingPayloadCountsThrow) {
   }
   auto short_payload = frame.payload;
   short_payload.resize(short_payload.size() - 4);  // count says 1, bytes say less
-  EXPECT_THROW(net::decode_query_batch(short_payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::PointWorkload>(short_payload), ProtocolError);
 
   auto long_payload = frame.payload;
   long_payload.push_back(0);  // trailing garbage
-  EXPECT_THROW(net::decode_query_batch(long_payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::PointWorkload>(long_payload), ProtocolError);
 }
 
 TEST(FrameDecoderAdversarial, HugeCountFieldRejectedBeforeAllocating) {
@@ -238,8 +238,8 @@ TEST(FrameDecoderAdversarial, HugeCountFieldRejectedBeforeAllocating) {
   // count-vs-payload check, not by a multi-gigabyte reserve() blowing up.
   std::vector<std::uint8_t> payload(16, 0);
   payload[8] = payload[9] = payload[10] = payload[11] = 0xff;  // count, LE
-  EXPECT_THROW(net::decode_query_batch(payload), ProtocolError);
-  EXPECT_THROW(net::decode_answer_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::PointWorkload>(payload), ProtocolError);
+  EXPECT_THROW(net::decode_answer<service::PointWorkload>(payload), ProtocolError);
   // Same shape for HELLO's source count (offset 24 within its payload).
   std::vector<std::uint8_t> hello(32, 0);
   hello[0] = 1;  // version
@@ -262,7 +262,7 @@ TEST(FrameDecoderAdversarial, InterleavedPipelinedIdsDecodeInOrder) {
   for (const std::uint64_t id : ids) {
     const auto frame = dec.next();
     ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(net::decode_query_batch(frame->payload).request_id, id);
+    EXPECT_EQ(net::decode_batch<service::PointWorkload>(frame->payload).request_id, id);
   }
   EXPECT_FALSE(dec.next().has_value());
 }
@@ -376,7 +376,7 @@ TEST(FrameDecoder, RoundTripsRegistryFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kQueryBatch);
-  const net::QueryBatchFrame qb = net::decode_query_batch(f.payload);
+  const net::BatchFrame<service::PointWorkload> qb = net::decode_batch<service::PointWorkload>(f.payload);
   EXPECT_EQ(qb.request_id, 9u);
   ASSERT_TRUE(qb.digest.has_value());
   EXPECT_EQ(*qb.digest, 0xfeedfaceULL);
@@ -439,23 +439,23 @@ TEST(FrameDecoderAdversarial, LyingRegistryPayloadCountsThrow) {
 TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
   std::vector<std::uint8_t> bytes;
   const std::vector<service::VitalityQuery> vq{{0, 5, 3}, {17, 99, 1}};
-  net::append_vitality_batch(bytes, 21, vq, 0xfeedfaceULL, 250);
+  net::append_batch<service::VitalityWorkload>(bytes, 21, vq, 0xfeedfaceULL, 250);
   std::vector<service::VitalityResult> vres(2);
   vres[0].base = 4;
   vres[0].edges = {{7, 0, kInfDist}, {9, 2, 6}};
   vres[1].base = kInfDist;
-  net::append_vitality_answer(bytes, 21, vres);
+  net::append_answer<service::VitalityWorkload>(bytes, 21, vres);
 
   const std::vector<service::VickreyQuery> pq{{0, 5}, {17, 99}};
-  net::append_vickrey_batch(bytes, 22, pq);
+  net::append_batch<service::VickreyWorkload>(bytes, 22, pq);
   std::vector<service::VickreyResult> pres(2);
   pres[0].base = 4;
   pres[0].prices = {{7, 0}, {9, kInfDist}};
-  net::append_vickrey_answer(bytes, 22, pres);
+  net::append_answer<service::VickreyWorkload>(bytes, 22, pres);
 
   const std::vector<service::KFailQuery> fq{{0, 5, {}}, {1, 6, {3}}, {2, 7, {3, 9}}};
-  net::append_kfail_batch(bytes, 23, fq, std::nullopt, 100);
-  net::append_kfail_answer(bytes, 23, std::vector<Dist>{4, kInfDist, 9});
+  net::append_batch<service::KFailWorkload>(bytes, 23, fq, std::nullopt, 100);
+  net::append_answer<service::KFailWorkload>(bytes, 23, std::vector<Dist>{4, kInfDist, 9});
 
   FrameDecoder dec;
   dec.feed(bytes);
@@ -467,7 +467,7 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   Frame f = next();
   EXPECT_EQ(f.type, FrameType::kVitalityBatch);
-  const net::VitalityBatchFrame vb = net::decode_vitality_batch(f.payload);
+  const net::BatchFrame<service::VitalityWorkload> vb = net::decode_batch<service::VitalityWorkload>(f.payload);
   EXPECT_EQ(vb.request_id, 21u);
   ASSERT_TRUE(vb.digest.has_value());
   EXPECT_EQ(*vb.digest, 0xfeedfaceULL);
@@ -477,13 +477,13 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kVitalityAnswer);
-  const net::VitalityAnswerFrame va = net::decode_vitality_answer(f.payload);
+  const net::AnswerFrame<service::VitalityWorkload> va = net::decode_answer<service::VitalityWorkload>(f.payload);
   EXPECT_EQ(va.request_id, 21u);
-  EXPECT_EQ(va.results, vres);
+  EXPECT_EQ(va.answers, vres);
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kVickreyBatch);
-  const net::VickreyBatchFrame pb = net::decode_vickrey_batch(f.payload);
+  const net::BatchFrame<service::VickreyWorkload> pb = net::decode_batch<service::VickreyWorkload>(f.payload);
   EXPECT_EQ(pb.request_id, 22u);
   EXPECT_FALSE(pb.digest.has_value());
   EXPECT_FALSE(pb.deadline_ms.has_value());
@@ -491,13 +491,13 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kVickreyAnswer);
-  const net::VickreyAnswerFrame pa = net::decode_vickrey_answer(f.payload);
+  const net::AnswerFrame<service::VickreyWorkload> pa = net::decode_answer<service::VickreyWorkload>(f.payload);
   EXPECT_EQ(pa.request_id, 22u);
-  EXPECT_EQ(pa.results, pres);
+  EXPECT_EQ(pa.answers, pres);
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kKFailBatch);
-  const net::KFailBatchFrame fb = net::decode_kfail_batch(f.payload);
+  const net::BatchFrame<service::KFailWorkload> fb = net::decode_batch<service::KFailWorkload>(f.payload);
   EXPECT_EQ(fb.request_id, 23u);
   EXPECT_FALSE(fb.digest.has_value());
   ASSERT_TRUE(fb.deadline_ms.has_value());
@@ -506,7 +506,7 @@ TEST(FrameDecoder, RoundTripsWorkloadFrameTypes) {
 
   f = next();
   EXPECT_EQ(f.type, FrameType::kKFailAnswer);
-  const net::KFailAnswerFrame fa = net::decode_kfail_answer(f.payload);
+  const net::AnswerFrame<service::KFailWorkload> fa = net::decode_answer<service::KFailWorkload>(f.payload);
   EXPECT_EQ(fa.request_id, 23u);
   EXPECT_EQ(fa.answers, (std::vector<Dist>{4, kInfDist, 9}));
 
@@ -527,39 +527,39 @@ TEST(FrameDecoderAdversarial, WorkloadRequestValidationThrows) {
 
   // k == 0 asks for nothing; the decoder refuses rather than guessing.
   auto payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_vitality_batch(b, 1, std::vector<service::VitalityQuery>{{0, 1, 0}});
+    net::append_batch<service::VitalityWorkload>(b, 1, std::vector<service::VitalityQuery>{{0, 1, 0}});
   });
-  EXPECT_THROW(net::decode_vitality_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::VitalityWorkload>(payload), ProtocolError);
 
   // k just past the cap throws; the cap itself is accepted (boundary).
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_vitality_batch(
+    net::append_batch<service::VitalityWorkload>(
         b, 1, std::vector<service::VitalityQuery>{{0, 1, service::kMaxTopKVital + 1}});
   });
-  EXPECT_THROW(net::decode_vitality_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::VitalityWorkload>(payload), ProtocolError);
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_vitality_batch(
+    net::append_batch<service::VitalityWorkload>(
         b, 1, std::vector<service::VitalityQuery>{{0, 1, service::kMaxTopKVital}});
   });
-  EXPECT_EQ(net::decode_vitality_batch(payload).queries[0].k, service::kMaxTopKVital);
+  EXPECT_EQ(net::decode_batch<service::VitalityWorkload>(payload).queries[0].k, service::kMaxTopKVital);
 
   // |F| == kMaxKFailEdges + 1 is refused even though the bytes are
   // perfectly self-consistent.
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {2, 3, 4}}});
+    net::append_batch<service::KFailWorkload>(b, 1, std::vector<service::KFailQuery>{{0, 1, {2, 3, 4}}});
   });
-  EXPECT_THROW(net::decode_kfail_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::KFailWorkload>(payload), ProtocolError);
 
   // A duplicated edge in F is a contradiction (failing one edge twice), so
   // it is rejected rather than silently deduplicated.
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 4}}});
+    net::append_batch<service::KFailWorkload>(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 4}}});
   });
-  EXPECT_THROW(net::decode_kfail_batch(payload), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::KFailWorkload>(payload), ProtocolError);
   payload = payload_of([](std::vector<std::uint8_t>& b) {
-    net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 5}}});
+    net::append_batch<service::KFailWorkload>(b, 1, std::vector<service::KFailQuery>{{0, 1, {4, 5}}});
   });
-  EXPECT_EQ(net::decode_kfail_batch(payload).queries[0].fails, (std::vector<EdgeId>{4, 5}));
+  EXPECT_EQ(net::decode_batch<service::KFailWorkload>(payload).queries[0].fails, (std::vector<EdgeId>{4, 5}));
 }
 
 TEST(FrameDecoderAdversarial, LyingWorkloadPayloadCountsThrow) {
@@ -584,47 +584,47 @@ TEST(FrameDecoderAdversarial, LyingWorkloadPayloadCountsThrow) {
 
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_vitality_batch(b, 1, std::vector<service::VitalityQuery>{{0, 1, 2}});
+        net::append_batch<service::VitalityWorkload>(b, 1, std::vector<service::VitalityQuery>{{0, 1, 2}});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vitality_batch(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_batch<service::VitalityWorkload>(p); });
   std::vector<service::VitalityResult> vres(1);
   vres[0].base = 3;
   vres[0].edges = {{0, 0, 5}};
   expect_lying_throws(
-      payload_of([&](std::vector<std::uint8_t>& b) { net::append_vitality_answer(b, 1, vres); }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vitality_answer(p); });
+      payload_of([&](std::vector<std::uint8_t>& b) { net::append_answer<service::VitalityWorkload>(b, 1, vres); }),
+      [](std::span<const std::uint8_t> p) { return net::decode_answer<service::VitalityWorkload>(p); });
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_vickrey_batch(b, 1, std::vector<service::VickreyQuery>{{0, 1}});
+        net::append_batch<service::VickreyWorkload>(b, 1, std::vector<service::VickreyQuery>{{0, 1}});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vickrey_batch(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_batch<service::VickreyWorkload>(p); });
   std::vector<service::VickreyResult> pres(1);
   pres[0].base = 3;
   pres[0].prices = {{0, 2}};
   expect_lying_throws(
-      payload_of([&](std::vector<std::uint8_t>& b) { net::append_vickrey_answer(b, 1, pres); }),
-      [](std::span<const std::uint8_t> p) { return net::decode_vickrey_answer(p); });
+      payload_of([&](std::vector<std::uint8_t>& b) { net::append_answer<service::VickreyWorkload>(b, 1, pres); }),
+      [](std::span<const std::uint8_t> p) { return net::decode_answer<service::VickreyWorkload>(p); });
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_kfail_batch(b, 1, std::vector<service::KFailQuery>{{0, 1, {2}}});
+        net::append_batch<service::KFailWorkload>(b, 1, std::vector<service::KFailQuery>{{0, 1, {2}}});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_kfail_batch(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_batch<service::KFailWorkload>(p); });
   expect_lying_throws(
       payload_of([](std::vector<std::uint8_t>& b) {
-        net::append_kfail_answer(b, 1, std::vector<Dist>{4});
+        net::append_answer<service::KFailWorkload>(b, 1, std::vector<Dist>{4});
       }),
-      [](std::span<const std::uint8_t> p) { return net::decode_kfail_answer(p); });
+      [](std::span<const std::uint8_t> p) { return net::decode_answer<service::KFailWorkload>(p); });
 
   // A 16-byte envelope claiming 2^32 - 1 queries must die on the
   // count-vs-payload check, not on a multi-gigabyte reserve().
   std::vector<std::uint8_t> huge(16, 0);
   huge[8] = huge[9] = huge[10] = huge[11] = 0xff;  // count, LE
-  EXPECT_THROW(net::decode_vitality_batch(huge), ProtocolError);
-  EXPECT_THROW(net::decode_vickrey_batch(huge), ProtocolError);
-  EXPECT_THROW(net::decode_kfail_batch(huge), ProtocolError);
-  EXPECT_THROW(net::decode_vitality_answer(huge), ProtocolError);
-  EXPECT_THROW(net::decode_vickrey_answer(huge), ProtocolError);
-  EXPECT_THROW(net::decode_kfail_answer(huge), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::VitalityWorkload>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::VickreyWorkload>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_batch<service::KFailWorkload>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_answer<service::VitalityWorkload>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_answer<service::VickreyWorkload>(huge), ProtocolError);
+  EXPECT_THROW(net::decode_answer<service::KFailWorkload>(huge), ProtocolError);
 }
 
 // -------------------------------------------------- loopback end-to-end ---
@@ -774,9 +774,9 @@ TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
 
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
-  EXPECT_EQ(client.vitality_batch(wb.vitality), vwant);
-  EXPECT_EQ(client.vickrey_batch(wb.vickrey), pwant);
-  EXPECT_EQ(client.kfail_batch(wb.kfail), fwant);
+  EXPECT_EQ(client.batch<service::VitalityWorkload>(wb.vitality), vwant);
+  EXPECT_EQ(client.batch<service::VickreyWorkload>(wb.vickrey), pwant);
+  EXPECT_EQ(client.batch<service::KFailWorkload>(wb.kfail), fwant);
 
   const net::ServerStats st = ts.server.stats();
   EXPECT_EQ(st.vitality_batches, 1u);
@@ -806,9 +806,9 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     svc.attach_graph(mapped->content_digest(), std::make_shared<const Graph>(fx.g));
     TestServer ts(svc, mapped);
     net::Client client(ts.client_options());
-    EXPECT_EQ(client.vitality_batch(wb.vitality), vwant);
-    EXPECT_EQ(client.vickrey_batch(wb.vickrey), pwant);
-    EXPECT_EQ(client.kfail_batch(wb.kfail), fwant);
+    EXPECT_EQ(client.batch<service::VitalityWorkload>(wb.vitality), vwant);
+    EXPECT_EQ(client.batch<service::VickreyWorkload>(wb.vickrey), pwant);
+    EXPECT_EQ(client.batch<service::KFailWorkload>(wb.kfail), fwant);
   }
 
   if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
@@ -816,9 +816,9 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
     net::Client client(ts.client_options());
-    EXPECT_EQ(client.vitality_batch(wb.vitality), vwant);
-    EXPECT_EQ(client.vickrey_batch(wb.vickrey), pwant);
-    EXPECT_EQ(client.kfail_batch(wb.kfail), fwant);
+    EXPECT_EQ(client.batch<service::VitalityWorkload>(wb.vitality), vwant);
+    EXPECT_EQ(client.batch<service::VickreyWorkload>(wb.vickrey), pwant);
+    EXPECT_EQ(client.batch<service::KFailWorkload>(wb.kfail), fwant);
   }
 }
 
@@ -837,14 +837,14 @@ TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
 
   const std::vector<service::KFailQuery> two{{fx.sources[0], 5, {0, 1}}};
   try {
-    client.kfail_batch(two);
+    client.batch<service::KFailWorkload>(two);
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("attach_graph"), std::string::npos);
   }
 
   const std::vector<service::KFailQuery> one{{fx.sources[0], 5, {0}}};
-  EXPECT_EQ(client.kfail_batch(one), fx.svc.kfail_batch(*fx.oracle, one));
+  EXPECT_EQ(client.batch<service::KFailWorkload>(one), fx.svc.kfail_batch(*fx.oracle, one));
   EXPECT_EQ(ts.server.stats().batch_errors, 1u);
   EXPECT_EQ(ts.server.stats().protocol_errors, 0u);
 }
@@ -865,21 +865,21 @@ TEST(NetServer, PipelinedMixedOpcodesPairByIdAndKind) {
     points.push_back(fx.random_queries(80 + 13 * r, 700 + r));
     loads.push_back(random_workloads(fx, 40 + 9 * r, 800 + r));
     point_ids.push_back(client.send(points[r]));
-    vit_ids.push_back(client.send_vitality(loads[r].vitality));
-    vic_ids.push_back(client.send_vickrey(loads[r].vickrey));
-    kf_ids.push_back(client.send_kfail(loads[r].kfail));
+    vit_ids.push_back(client.send<service::VitalityWorkload>(loads[r].vitality));
+    vic_ids.push_back(client.send<service::VickreyWorkload>(loads[r].vickrey));
+    kf_ids.push_back(client.send<service::KFailWorkload>(loads[r].kfail));
   }
   EXPECT_EQ(client.inflight(), 4 * kRounds);
   // Collect newest-first, interleaving kinds.
   for (std::size_t r = kRounds; r-- > 0;) {
-    EXPECT_EQ(client.wait_kfail(kf_ids[r]), fx.svc.kfail_batch(*fx.oracle, loads[r].kfail))
+    EXPECT_EQ(client.wait<service::KFailWorkload>(kf_ids[r]), fx.svc.kfail_batch(*fx.oracle, loads[r].kfail))
         << "round " << r;
     EXPECT_EQ(client.wait(point_ids[r]), fx.svc.query_batch(*fx.oracle, points[r]))
         << "round " << r;
-    EXPECT_EQ(client.wait_vitality(vit_ids[r]),
+    EXPECT_EQ(client.wait<service::VitalityWorkload>(vit_ids[r]),
               fx.svc.vitality_batch(*fx.oracle, loads[r].vitality))
         << "round " << r;
-    EXPECT_EQ(client.wait_vickrey(vic_ids[r]),
+    EXPECT_EQ(client.wait<service::VickreyWorkload>(vic_ids[r]),
               fx.svc.vickrey_batch(*fx.oracle, loads[r].vickrey))
         << "round " << r;
   }
@@ -1388,17 +1388,17 @@ TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
   }
   // The registered tenant's graph lives server-side (register_graph built
   // it there), so even |F| == 2 works over the wire against the digest.
-  EXPECT_EQ(client.vitality_batch(vq, ack.digest), local.vitality_batch(*oracle2, vq));
-  EXPECT_EQ(client.kfail_batch(fq, ack.digest), local.kfail_batch(*oracle2, fq));
+  EXPECT_EQ(client.batch<service::VitalityWorkload>(vq, ack.digest), local.vitality_batch(*oracle2, vq));
+  EXPECT_EQ(client.batch<service::KFailWorkload>(fq, ack.digest), local.kfail_batch(*oracle2, fq));
 
   // An unknown digest fails the workload batch, not the connection.
   try {
-    client.vitality_batch(vq, 0xdeadbeefULL);
+    client.batch<service::VitalityWorkload>(vq, 0xdeadbeefULL);
     FAIL() << "expected a batch error";
   } catch (const std::runtime_error& ex) {
     EXPECT_NE(std::string(ex.what()).find("unknown oracle digest"), std::string::npos);
   }
-  EXPECT_EQ(client.vitality_batch(vq, ack.digest), local.vitality_batch(*oracle2, vq));
+  EXPECT_EQ(client.batch<service::VitalityWorkload>(vq, ack.digest), local.vitality_batch(*oracle2, vq));
 }
 
 TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
@@ -1433,35 +1433,6 @@ TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
   const auto listed = client.list_oracles();
   ASSERT_EQ(listed.size(), 1u);
   EXPECT_EQ(listed[0].digest, fx.oracle->content_digest());
-}
-
-TEST(NetRegistry, AdmissionControlAnswersBusyAndRetrySucceeds) {
-  SKIP_WITHOUT_EPOLL();
-  NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.dispatch = {.per_tenant_inflight = 1, .per_tenant_queue = 0, .total_inflight = 4};
-  RegistryTestServer ts(fx.svc, fx.oracle, {}, sopts);
-  net::Client client(ts.client_options());
-
-  // Wedge the pool so the first batch deterministically stays in flight;
-  // the second then overflows the zero-length queue.
-  std::promise<void> release = wedge_pool(fx.svc);
-  const auto b1 = fx.random_queries(200, 41);
-  const auto b2 = fx.random_queries(100, 42);
-  const std::uint64_t id1 = client.send(b1);
-  const std::uint64_t id2 = client.send(b2);
-  try {
-    client.wait(id2);
-    FAIL() << "expected BUSY";
-  } catch (const net::BusyError& ex) {
-    EXPECT_NE(std::string(ex.what()).find("busy"), std::string::npos);
-  }
-  release.set_value();
-  EXPECT_EQ(client.wait(id1), fx.svc.query_batch(*fx.oracle, b1));
-  EXPECT_EQ(ts.server.stats().busy_rejected, 1u);
-
-  // BUSY means "did not run": an identical resend is safe and succeeds.
-  EXPECT_EQ(client.query_batch(b2), fx.svc.query_batch(*fx.oracle, b2));
 }
 
 TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
@@ -1720,9 +1691,9 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   // Interop pin: a protocol-v2 client knows nothing of the workload
   // opcodes. Its bytes — a flags==0 QUERY_BATCH — must produce an
   // ANSWER_BATCH that is byte-for-byte what a v2 server would have sent,
-  // and the current HELLO must still announce sources/digest in the v1 layout
-  // (v2 clients accept any announced version >= their own frames' needs,
-  // so the payload shapes are load-bearing, not just the field values).
+  // and the current HELLO must still announce sources/digest in the
+  // original layout (the payload shapes are load-bearing, not just the
+  // field values).
   SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
@@ -1738,7 +1709,6 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   EXPECT_EQ(frames[0].type, FrameType::kHello);
   const net::HelloInfo hello = net::decode_hello(frames[0].payload);
   EXPECT_EQ(hello.version, net::kProtocolVersion);
-  EXPECT_GE(hello.version, net::kMinProtocolVersion);
   EXPECT_EQ(hello.sources, fx.sources);
 
   // Byte-compare the reply against a locally encoded ANSWER_BATCH.

@@ -6,9 +6,8 @@
 //
 //   1. sync  — QueryService::query_batch against the built oracle
 //   2. async — QueryService::submit_batch future against the same oracle
-//   3. v1    — snapshot saved as format v1, reloaded via the varint decoder
-//   4. v2    — snapshot saved as format v2, reloaded zero-copy through mmap
-//   5. shm   — (MSRP_FUZZ_SHARDS=K > 0 only) a QueryService routing through
+//   3. v2    — snapshot saved and reloaded zero-copy through mmap
+//   4. shm   — (MSRP_FUZZ_SHARDS=K > 0 only) a QueryService routing through
 //              K forked worker processes over shared-memory snapshot
 //              segments; off by default because the sanitizer jobs run this
 //              suite and fork under TSan is unsupported
@@ -144,30 +143,22 @@ TEST(ServiceFuzz, AllServingPathsMatchBruteForce) {
     ASSERT_EQ(async_res.error, nullptr) << "async path failed, seed=" << seed;
     ASSERT_EQ(async_res.answers, want) << "async path diverged, seed=" << seed;
 
-    // Path 5 (opt-in): route the same batch through forked shard workers
+    // Path 4 (opt-in): route the same batch through forked shard workers
     // over shared-memory segments.
     if (sharded_svc != nullptr) {
       ASSERT_EQ(sharded_svc->query_batch(*oracle, queries), want)
           << "sharded path diverged, seed=" << seed;
     }
 
-    // Paths 3 + 4: the two on-disk formats, v2 through the mmap fast path.
-    const std::string v1_path = dir + "/msrp_fuzz_" + std::to_string(seed) + ".v1.snap";
+    // Path 3: the on-disk format through the mmap fast path.
     const std::string v2_path = dir + "/msrp_fuzz_" + std::to_string(seed) + ".v2.snap";
-    oracle->save(v1_path, service::SnapshotFormat::kV1);
     oracle->save(v2_path, service::SnapshotFormat::kV2);
     {
-      const Snapshot v1 = Snapshot::load(v1_path);
-      ASSERT_FALSE(v1.is_mapped());
-      ASSERT_EQ(v1.content_digest(), oracle->content_digest()) << "seed=" << seed;
-      ASSERT_EQ(svc.query_batch(v1, queries), want) << "v1 path diverged, seed=" << seed;
-
       const Snapshot v2 =
           Snapshot::load(v2_path, {.use_mmap = true, .verify_cells = true});
       ASSERT_EQ(v2.content_digest(), oracle->content_digest()) << "seed=" << seed;
       ASSERT_EQ(svc.query_batch(v2, queries), want) << "v2 mmap path diverged, seed=" << seed;
     }
-    std::remove(v1_path.c_str());
     std::remove(v2_path.c_str());
   }
 }
@@ -331,24 +322,24 @@ TEST(ServiceFuzz, WorkloadOpcodesMatchBruteForce) {
 
     // Path 2: the async submit flavours (what the wire server drives).
     {
-      std::promise<service::VitalityBatchResult> vp;
-      svc.submit_vitality(oracle, vq, [&vp](service::VitalityBatchResult r) {
+      std::promise<service::WorkloadResult<service::VitalityWorkload>> vp;
+      svc.submit<service::VitalityWorkload>(oracle, vq, [&vp](service::WorkloadResult<service::VitalityWorkload> r) {
         vp.set_value(std::move(r));
       });
-      const service::VitalityBatchResult vr = vp.get_future().get();
+      const service::WorkloadResult<service::VitalityWorkload> vr = vp.get_future().get();
       ASSERT_EQ(vr.error, nullptr) << "async vitality failed, seed=" << seed;
-      ASSERT_EQ(vr.results, vwant) << "async vitality diverged, seed=" << seed;
+      ASSERT_EQ(vr.answers, vwant) << "async vitality diverged, seed=" << seed;
 
-      std::promise<service::VickreyBatchResult> pp;
-      svc.submit_vickrey(oracle, pq, [&pp](service::VickreyBatchResult r) {
+      std::promise<service::WorkloadResult<service::VickreyWorkload>> pp;
+      svc.submit<service::VickreyWorkload>(oracle, pq, [&pp](service::WorkloadResult<service::VickreyWorkload> r) {
         pp.set_value(std::move(r));
       });
-      const service::VickreyBatchResult pr = pp.get_future().get();
+      const service::WorkloadResult<service::VickreyWorkload> pr = pp.get_future().get();
       ASSERT_EQ(pr.error, nullptr) << "async vickrey failed, seed=" << seed;
-      ASSERT_EQ(pr.results, pwant) << "async vickrey diverged, seed=" << seed;
+      ASSERT_EQ(pr.answers, pwant) << "async vickrey diverged, seed=" << seed;
 
       std::promise<service::BatchResult> fp;
-      svc.submit_kfail(oracle, fq, [&fp](service::BatchResult r) {
+      svc.submit<service::KFailWorkload>(oracle, fq, [&fp](service::BatchResult r) {
         fp.set_value(std::move(r));
       });
       const service::BatchResult fr = fp.get_future().get();

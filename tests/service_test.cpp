@@ -147,25 +147,20 @@ TEST(Snapshot, CorruptionIsDetected) {
   }
 }
 
-TEST(Snapshot, FormatsAgreeAndV2ServesFromTheMapping) {
+TEST(Snapshot, V2ServesFromTheMapping) {
   Rng rng(13);
   const Graph g = gen::connected_gnp(50, 0.1, rng);
   const std::vector<Vertex> sources{0, 25, 49};
   const MsrpResult res = solve_msrp(g, sources);
   const Snapshot snap = Snapshot::capture(res);
 
-  const std::string v1_path = testing::TempDir() + "/msrp_fmt_test.v1.snap";
   const std::string v2_path = testing::TempDir() + "/msrp_fmt_test.v2.snap";
-  snap.save(v1_path, service::SnapshotFormat::kV1);
   snap.save(v2_path, service::SnapshotFormat::kV2);
 
-  const Snapshot v1 = Snapshot::load(v1_path);
   const Snapshot v2 = Snapshot::load(v2_path);
   const Snapshot v2m = Snapshot::load(v2_path, {.use_mmap = true, .verify_cells = false});
-  EXPECT_FALSE(v1.is_mapped());
   EXPECT_FALSE(v2.is_mapped());
   EXPECT_TRUE(v2m.is_mapped());
-  EXPECT_EQ(v1.content_digest(), snap.content_digest());
   EXPECT_EQ(v2.content_digest(), snap.content_digest());
   EXPECT_EQ(v2m.content_digest(), snap.content_digest());
 
@@ -173,13 +168,11 @@ TEST(Snapshot, FormatsAgreeAndV2ServesFromTheMapping) {
     for (Vertex t = 0; t < g.num_vertices(); ++t) {
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
         const Dist want = res.avoiding(s, t, e);
-        ASSERT_EQ(v1.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
         ASSERT_EQ(v2.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
         ASSERT_EQ(v2m.avoiding(s, t, e), want) << "s=" << s << " t=" << t << " e=" << e;
       }
     }
   }
-  std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
 }
 
@@ -195,7 +188,7 @@ TEST(Snapshot, NonSourceAndOutOfRangeThrow) {
 // ------------------------------------------------------------ thread pool ---
 
 TEST(ThreadPool, RunsEveryTask) {
-  service::ThreadPool pool(4);
+  ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
   for (int i = 0; i < 1000; ++i) {
@@ -206,7 +199,7 @@ TEST(ThreadPool, RunsEveryTask) {
 }
 
 TEST(ThreadPool, PropagatesTaskException) {
-  service::ThreadPool pool(2);
+  ThreadPool pool(2);
   pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(pool.wait_idle(), std::runtime_error);
   // Pool stays usable afterwards.
@@ -217,7 +210,7 @@ TEST(ThreadPool, PropagatesTaskException) {
 }
 
 TEST(ThreadPool, SubmitTaskDeliversValuesAndExceptionsThroughTheFuture) {
-  service::ThreadPool pool(2);
+  ThreadPool pool(2);
   std::future<int> value = pool.submit_task([] { return 6 * 7; });
   EXPECT_EQ(value.get(), 42);
 

@@ -1,14 +1,10 @@
-// Batch-file I/O shared by the serving tools.
-//
-// msrp_serve (local batches) and msrp_client (remote batches) read the
-// same "s t e" query files and write the same "s t e answer" lines — and
-// the CI network smoke job byte-compares one tool's output against the
-// other's, so the formats must be one piece of code, not two copies.
+// Batch-file I/O and flag parsing shared by the serving tools.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <span>
 #include <sstream>
 #include <string>
@@ -62,62 +58,14 @@ inline double cli_double(const std::string& value, const char* flag) {
   std::exit(2);
 }
 
-/// Parses queries, one "s t e" per line ('#' starts a comment). Prints a
-/// file:line diagnostic and exits on malformed input (CLI contract).
-inline std::vector<service::Query> read_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<service::Query> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::uint64_t s = 0, t = 0, e = 0;
-    if (!(ls >> s >> t >> e)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t e\"\n", path.c_str(), lineno);
-      std::exit(1);
-    }
-    out.push_back({static_cast<Vertex>(s), static_cast<Vertex>(t),
-                   static_cast<EdgeId>(e)});
-  }
-  return out;
-}
+// ----- batch files ---------------------------------------------------------
+// msrp_serve answers these files locally, msrp_client ships them over the
+// wire, and CI byte-compares the two outputs — so each workload's line
+// format lives here once, as a TextFormat specialization, and the file
+// reader/writer pair is shared. Lines are one query each; '#' starts a
+// comment line. "inf" prints for kInfDist.
 
-/// Writes one "s t e answer" line per query ("inf" for unreachable).
-/// Returns false (after printing the error) when the file cannot be
-/// opened; answers must be batch-sized.
-inline bool write_answer_file(const std::string& path,
-                              std::span<const service::Query> batch,
-                              std::span<const Dist> answers) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ' << batch[i].e << ' ';
-    if (answers[i] == kInfDist) {
-      f << "inf\n";
-    } else {
-      f << answers[i] << '\n';
-    }
-  }
-  return true;
-}
-
-// ----- v3 workload batch files ---------------------------------------------
-// Same contract as the point-query pair above: msrp_serve answers these
-// files locally, msrp_client ships them over the wire, and CI byte-compares
-// the two outputs — so each workload's read/write format lives here once.
-
-namespace detail {
-
-inline void print_dist(std::ofstream& f, Dist d) {
+inline void print_dist(std::ostream& f, Dist d) {
   if (d == kInfDist) {
     f << "inf";
   } else {
@@ -125,83 +73,118 @@ inline void print_dist(std::ofstream& f, Dist d) {
   }
 }
 
-}  // namespace detail
+template <class W>
+struct TextFormat;
 
-/// Parses vitality queries, one "s t k" per line ('#' comments).
-inline std::vector<service::VitalityQuery> read_vitality_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
+/// "s t e" in, "s t e answer" out.
+template <>
+struct TextFormat<service::PointWorkload> {
+  static std::string parse(std::istringstream& ls, service::Query& q) {
+    std::uint64_t s = 0, t = 0, e = 0;
+    if (!(ls >> s >> t >> e)) return "expected \"s t e\"";
+    q = {static_cast<Vertex>(s), static_cast<Vertex>(t), static_cast<EdgeId>(e)};
+    return {};
   }
-  std::vector<service::VitalityQuery> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+  static void print(std::ostream& f, const service::Query& q, Dist answer) {
+    f << q.s << ' ' << q.t << ' ' << q.e << ' ';
+    print_dist(f, answer);
+  }
+};
+
+/// "s t k" in; out "s t k base entry...", entries as
+/// "edge:position:replacement" in result order (base "inf" when t is
+/// unreachable).
+template <>
+struct TextFormat<service::VitalityWorkload> {
+  static std::string parse(std::istringstream& ls, service::VitalityQuery& q) {
     std::uint64_t s = 0, t = 0, k = 0;
-    if (!(ls >> s >> t >> k)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t k\"\n", path.c_str(), lineno);
-      std::exit(1);
-    }
-    out.push_back({static_cast<Vertex>(s), static_cast<Vertex>(t),
-                   static_cast<std::uint32_t>(k)});
+    if (!(ls >> s >> t >> k)) return "expected \"s t k\"";
+    q = {static_cast<Vertex>(s), static_cast<Vertex>(t), static_cast<std::uint32_t>(k)};
+    return {};
   }
-  return out;
-}
+  static void print(std::ostream& f, const service::VitalityQuery& q,
+                    const service::VitalityResult& r) {
+    f << q.s << ' ' << q.t << ' ' << q.k << ' ';
+    print_dist(f, r.base);
+    for (const service::VitalityEntry& e : r.edges) {
+      f << ' ' << e.edge << ':' << e.position << ':';
+      print_dist(f, e.replacement);
+    }
+  }
+};
 
-/// Parses Vickrey queries, one "s t" per line ('#' comments).
-inline std::vector<service::VickreyQuery> read_vickrey_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<service::VickreyQuery> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+/// "s t" in; out "s t base charge...", charges as "edge:price" in path
+/// order ("inf" = bridge monopoly).
+template <>
+struct TextFormat<service::VickreyWorkload> {
+  static std::string parse(std::istringstream& ls, service::VickreyQuery& q) {
     std::uint64_t s = 0, t = 0;
-    if (!(ls >> s >> t)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t\"\n", path.c_str(), lineno);
-      std::exit(1);
-    }
-    out.push_back({static_cast<Vertex>(s), static_cast<Vertex>(t)});
+    if (!(ls >> s >> t)) return "expected \"s t\"";
+    q = {static_cast<Vertex>(s), static_cast<Vertex>(t)};
+    return {};
   }
-  return out;
-}
+  static void print(std::ostream& f, const service::VickreyQuery& q,
+                    const service::VickreyResult& r) {
+    f << q.s << ' ' << q.t << ' ';
+    print_dist(f, r.base);
+    for (const service::VickreyCharge& c : r.prices) {
+      f << ' ' << c.edge << ':';
+      print_dist(f, c.price);
+    }
+  }
+};
 
-/// Parses k-fail queries, one "s t [e...]" per line — zero to
-/// service::kMaxKFailEdges failed edge ids after the endpoints.
-inline std::vector<service::KFailQuery> read_kfail_batch_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::vector<service::KFailQuery> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(f, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+/// "s t [e...]" in — zero to service::kMaxKFailEdges failed edge ids after
+/// the endpoints; out "s t F answer", F comma-joined ("-" when empty).
+template <>
+struct TextFormat<service::KFailWorkload> {
+  static std::string parse(std::istringstream& ls, service::KFailQuery& q) {
     std::uint64_t s = 0, t = 0;
-    if (!(ls >> s >> t)) {
-      std::fprintf(stderr, "error: %s:%zu: expected \"s t [e...]\"\n", path.c_str(), lineno);
-      std::exit(1);
-    }
-    service::KFailQuery q{static_cast<Vertex>(s), static_cast<Vertex>(t), {}};
+    if (!(ls >> s >> t)) return "expected \"s t [e...]\"";
+    q = {static_cast<Vertex>(s), static_cast<Vertex>(t), {}};
     std::uint64_t e = 0;
     while (ls >> e) q.fails.push_back(static_cast<EdgeId>(e));
     if (q.fails.size() > service::kMaxKFailEdges) {
-      std::fprintf(stderr, "error: %s:%zu: at most %zu failed edges per query\n",
-                   path.c_str(), lineno, service::kMaxKFailEdges);
+      return "at most " + std::to_string(service::kMaxKFailEdges) +
+             " failed edges per query";
+    }
+    return {};
+  }
+  static void print(std::ostream& f, const service::KFailQuery& q, Dist answer) {
+    f << q.s << ' ' << q.t << ' ';
+    if (q.fails.empty()) {
+      f << '-';
+    } else {
+      for (std::size_t j = 0; j < q.fails.size(); ++j) {
+        if (j != 0) f << ',';
+        f << q.fails[j];
+      }
+    }
+    f << ' ';
+    print_dist(f, answer);
+  }
+};
+
+/// Parses a batch file of workload W. Prints a file:line diagnostic and
+/// exits on malformed input (CLI contract).
+template <class W>
+std::vector<typename W::Request> read_batch_file(const std::string& path) {
+  std::ifstream f(path);
+  if (!f) {
+    std::fprintf(stderr, "error: cannot open batch file %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::vector<typename W::Request> out;
+  std::string line;
+  std::size_t lineno = 0;
+  while (std::getline(f, line)) {
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    typename W::Request q{};
+    const std::string error = TextFormat<W>::parse(ls, q);
+    if (!error.empty()) {
+      std::fprintf(stderr, "error: %s:%zu: %s\n", path.c_str(), lineno, error.c_str());
       std::exit(1);
     }
     out.push_back(std::move(q));
@@ -209,73 +192,18 @@ inline std::vector<service::KFailQuery> read_kfail_batch_file(const std::string&
   return out;
 }
 
-/// One "s t k base entry..." line per query, entries as
-/// "edge:position:replacement" in result order ("inf" for a bridge's
-/// replacement, base "inf" when t is unreachable).
-inline bool write_vitality_answer_file(const std::string& path,
-                                       std::span<const service::VitalityQuery> batch,
-                                       std::span<const service::VitalityResult> results) {
+/// Writes one answer line per query. Returns false (after printing the
+/// error) when the file cannot be opened; answers must be batch-sized.
+template <class W>
+bool write_answer_file(const std::string& path, std::span<const typename W::Request> batch,
+                       std::span<const typename W::Answer> answers) {
   std::ofstream f(path);
   if (!f) {
     std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
     return false;
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ' << batch[i].k << ' ';
-    detail::print_dist(f, results[i].base);
-    for (const service::VitalityEntry& e : results[i].edges) {
-      f << ' ' << e.edge << ':' << e.position << ':';
-      detail::print_dist(f, e.replacement);
-    }
-    f << '\n';
-  }
-  return true;
-}
-
-/// One "s t base charge..." line per query, charges as "edge:price" in
-/// path order ("inf" = bridge monopoly).
-inline bool write_vickrey_answer_file(const std::string& path,
-                                      std::span<const service::VickreyQuery> batch,
-                                      std::span<const service::VickreyResult> results) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ';
-    detail::print_dist(f, results[i].base);
-    for (const service::VickreyCharge& c : results[i].prices) {
-      f << ' ' << c.edge << ':';
-      detail::print_dist(f, c.price);
-    }
-    f << '\n';
-  }
-  return true;
-}
-
-/// One "s t F answer" line per query, F as comma-joined edge ids ("-" when
-/// empty), answer "inf" for unreachable.
-inline bool write_kfail_answer_file(const std::string& path,
-                                    std::span<const service::KFailQuery> batch,
-                                    std::span<const Dist> answers) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    f << batch[i].s << ' ' << batch[i].t << ' ';
-    if (batch[i].fails.empty()) {
-      f << '-';
-    } else {
-      for (std::size_t j = 0; j < batch[i].fails.size(); ++j) {
-        if (j != 0) f << ',';
-        f << batch[i].fails[j];
-      }
-    }
-    f << ' ';
-    detail::print_dist(f, answers[i]);
+    TextFormat<W>::print(f, batch[i], answers[i]);
     f << '\n';
   }
   return true;

@@ -28,10 +28,10 @@
 //         --batch-file q.txt --out a.txt
 //     msrp_client --connect 127.0.0.1:7171 --digest 9f3ac2... --duration 10
 //
-// Protocol v3 servers additionally serve the typed workloads: --workload
-// switches batch mode to one of the v3 opcodes, reading the workload's own
-// batch-file format and writing lines byte-identical to msrp_serve
-// --workload for the same file (the CI smoke job compares exactly that).
+// --workload switches batch mode to another workload (service/workloads.hpp),
+// reading that workload's batch-file format and writing lines
+// byte-identical to msrp_serve --workload for the same file (the CI smoke
+// job compares exactly that).
 //
 //     msrp_client --connect 127.0.0.1:7171 --workload vitality
 //         --batch-file v.txt --out a.txt
@@ -39,11 +39,11 @@
 // Options:
 //   --connect host:port    server address (required)
 //   --batch-file <path>    queries, one "s t e" per line ('#' comments)
-//   --workload <kind>      batch mode only — send the file as a typed v3
-//                          batch: "vitality" ("s t k" lines), "vickrey"
-//                          ("s t"), or "kfail" ("s t [e...]", at most 2
-//                          failed edges per query)
-//   --out <path>           write "s t e answer" lines (batch mode)
+//   --workload <kind>      batch mode's workload (default "point"):
+//                          "vitality" ("s t k" lines), "vickrey" ("s t"),
+//                          or "kfail" ("s t [e...]", at most 2 failed
+//                          edges per query)
+//   --out <path>           write answer lines (batch mode)
 //   --connections N        load-mode connections/threads (default 1)
 //   --batch-size B         queries per generated batch (default 512)
 //   --inflight K           pipelined batches per connection (default 4)
@@ -98,7 +98,7 @@ namespace {
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: msrp_client --connect host:port --batch-file <path> [--out <path>]\n"
-               "                   [--workload vitality|vickrey|kfail]\n"
+               "                   [--workload point|vitality|vickrey|kfail]\n"
                "       msrp_client --connect host:port [--connections N] [--batch-size B]\n"
                "                   [--inflight K] [--duration S] [--seed N] [--retries N]\n"
                "                   [--deadline-ms N] [--max-attempts N]\n"
@@ -146,6 +146,34 @@ struct LoadResult {
   std::string error;
 };
 
+/// Batch mode: sends one batch file of workload W, writes the answers.
+/// With a deadline the retry loop hides transient BUSY / connection loss /
+/// server-side expiry inside the budget; without one the plain unbounded
+/// round trip is kept.
+template <class W>
+int run_batch_file(net::Client& client, const std::string& batch_path,
+                   const std::string& out_path, std::uint64_t deadline_ms, unsigned max_attempts,
+                   std::optional<std::uint64_t> digest) {
+  const std::vector<typename W::Request> batch = tools::read_batch_file<W>(batch_path);
+  Timer t;
+  std::vector<typename W::Answer> answers;
+  if (deadline_ms > 0) {
+    net::RetryPolicy policy;
+    policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
+    policy.max_attempts = max_attempts;
+    answers = client.batch_retry<W>(batch, policy, digest);
+  } else {
+    answers = client.batch<W>(batch, digest);
+  }
+  std::printf("answered %zu %s queries in %.3f ms over TCP\n", batch.size(), W::kName,
+              t.millis());
+  if (!out_path.empty()) {
+    if (!tools::write_answer_file<W>(out_path, batch, answers)) return 1;
+    std::printf("wrote answers to %s\n", out_path.c_str());
+  }
+  return 0;
+}
+
 double percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   const double rank = p * static_cast<double>(sorted.size() - 1);
@@ -163,7 +191,8 @@ int main(int argc, char** argv) {
 #ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);
 #endif
-  std::string connect, batch_path, out_path, register_path, workload;
+  std::string connect, batch_path, out_path, register_path;
+  std::string workload = service::PointWorkload::kName;
   std::vector<Vertex> reg_sources;
   std::optional<std::uint64_t> build_seed;
   bool digest_given = false;
@@ -191,7 +220,7 @@ int main(int argc, char** argv) {
       batch_path = next();
     } else if (arg == "--workload") {
       workload = next();
-      if (workload != "vitality" && workload != "vickrey" && workload != "kfail") usage();
+      if (!service::any_workload([&]<class W>() { return workload == W::kName; })) usage();
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--connections") {
@@ -230,7 +259,8 @@ int main(int argc, char** argv) {
   }
   if (!register_path.empty() && reg_sources.empty()) usage();
   if (!register_path.empty() && digest_given) usage();  // one way to pick a target
-  if (!workload.empty() && batch_path.empty()) usage();  // typed batches are batch mode
+  // Typed batches are batch mode only; load mode generates point batches.
+  if (workload != service::PointWorkload::kName && batch_path.empty()) usage();
   const std::size_t colon = connect.rfind(':');
   if (connect.empty() || colon == std::string::npos) usage();
   if (connections == 0 || batch_size == 0 || inflight == 0) usage();
@@ -358,74 +388,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!workload.empty()) {
-      // Typed batch mode (protocol v3): one connection, one workload
-      // batch, answers out — same retry shape as the point-query branch
-      // below. send_* throws up front against a pre-v3 server.
-      net::RetryPolicy policy;
-      policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
-      policy.max_attempts = max_attempts;
-      const bool retry = deadline_ms > 0;
-      std::size_t answered = 0;
-      Timer t;
-      if (workload == "vitality") {
-        const auto batch = tools::read_vitality_batch_file(batch_path);
-        const std::vector<service::VitalityResult> results =
-            retry ? client.vitality_batch_retry(batch, policy, target.digest)
-                  : client.vitality_batch(batch, target.digest);
-        answered = batch.size();
-        if (!out_path.empty() &&
-            !tools::write_vitality_answer_file(out_path, batch, results)) {
-          return 1;
-        }
-      } else if (workload == "vickrey") {
-        const auto batch = tools::read_vickrey_batch_file(batch_path);
-        const std::vector<service::VickreyResult> results =
-            retry ? client.vickrey_batch_retry(batch, policy, target.digest)
-                  : client.vickrey_batch(batch, target.digest);
-        answered = batch.size();
-        if (!out_path.empty() &&
-            !tools::write_vickrey_answer_file(out_path, batch, results)) {
-          return 1;
-        }
-      } else {  // kfail
-        const auto batch = tools::read_kfail_batch_file(batch_path);
-        const std::vector<Dist> answers =
-            retry ? client.kfail_batch_retry(batch, policy, target.digest)
-                  : client.kfail_batch(batch, target.digest);
-        answered = batch.size();
-        if (!out_path.empty() && !tools::write_kfail_answer_file(out_path, batch, answers)) {
-          return 1;
-        }
-      }
-      std::printf("answered %zu %s queries in %.3f ms over TCP\n", answered,
-                  workload.c_str(), t.millis());
-      if (!out_path.empty()) std::printf("wrote answers to %s\n", out_path.c_str());
-      return 0;
-    }
-
     if (!batch_path.empty()) {
-      // Batch mode: one connection, one batch, answers out. With a
-      // deadline the retry loop hides transient BUSY / connection loss /
-      // server-side expiry inside the budget; without one the legacy
-      // unbounded round trip is kept.
-      const std::vector<service::Query> batch = tools::read_batch_file(batch_path);
-      Timer t;
-      std::vector<Dist> answers;
-      if (deadline_ms > 0) {
-        net::RetryPolicy policy;
-        policy.deadline_ms = static_cast<std::uint32_t>(deadline_ms);
-        policy.max_attempts = max_attempts;
-        answers = client.query_batch_retry(batch, policy, target.digest);
-      } else {
-        answers = client.query_batch(batch, target.digest);
-      }
-      std::printf("answered %zu queries in %.3f ms over TCP\n", batch.size(), t.millis());
-      if (!out_path.empty()) {
-        if (!tools::write_answer_file(out_path, batch, answers)) return 1;
-        std::printf("wrote answers to %s\n", out_path.c_str());
-      }
-      return 0;
+      // Batch mode: one connection, one batch, answers out.
+      int rc = 0;
+      service::any_workload([&]<class W>() {
+        if (workload != W::kName) return false;
+        rc = run_batch_file<W>(client, batch_path, out_path, deadline_ms, max_attempts,
+                               target.digest);
+        return true;
+      });
+      return rc;
     }
 
     // Load mode: one thread per connection; each keeps `inflight` batches

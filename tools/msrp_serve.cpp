@@ -15,14 +15,13 @@
 //   --exact                deterministic exact mode
 //   --bk                   Section 8 landmark-table machinery
 //   --save-snapshot <path> persist the oracle after building
-//   --format v1|v2         snapshot format for --save-snapshot (default v2)
 //   --mmap                 serve --load-snapshot v2 files zero-copy from a
 //                          memory mapping (skips the cells checksum)
 //
 // Serving options:
 //   --batch-file <path>    queries, one "s t e" per line ('#' comments)
-//   --workload <kind>      answer a typed workload batch instead of point
-//                          queries: "vitality" reads "s t k" lines and
+//   --workload <kind>      the batch's workload (default "point"):
+//                          "vitality" reads "s t k" lines and
 //                          writes top-k most-vital edges, "vickrey" reads
 //                          "s t" and writes per-edge Vickrey prices,
 //                          "kfail" reads "s t [e...]" and writes d(s, t)
@@ -34,17 +33,16 @@
 //   --random-queries N     generate N uniform random queries instead
 //   --threads N            worker threads (default: hardware concurrency)
 //   --repeat K             run the batch K times for throughput (default 1)
-//   --async                use submit_batch() futures; reports submit
-//                          latency separately from completion
+//   --async                submit every repeat up front through the async
+//                          API; reports submit latency separately from
+//                          completion
 //   --shards N             serve through N worker processes: the oracle is
 //                          partitioned by source into N shared-memory v2
 //                          segments, each served zero-copy by a forked
 //                          msrp_serve worker; answers are bit-identical to
 //                          the in-process path (see docs/OPERATIONS.md)
-//   --shard-spin N         idle-poll rounds before the shard router sleeps
+//   --shard-spin N         idle-poll rounds before the shard router parks
 //                          (default 64, or MSRP_SHARD_SPIN_ROUNDS)
-//   --shard-sleep-us N     router idle sleep in microseconds; 0 = yield
-//                          (default 20, or MSRP_SHARD_SLEEP_US)
 //   --out <path>           write "s t e answer" lines for the batch
 //
 // Network serving (docs/NETWORK_PROTOCOL.md):
@@ -103,6 +101,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -146,11 +145,11 @@ std::vector<std::uint32_t> parse_list(const std::string& s) {
                "       msrp_serve --demo [options]\n"
                "       msrp_serve --load-snapshot <path> [options]\n"
                "options: [--seed N] [--oversample X] [--exact] [--bk]\n"
-               "         [--save-snapshot <path>] [--format v1|v2] [--mmap]\n"
+               "         [--save-snapshot <path>] [--mmap]\n"
                "         [--batch-file <path> | --random-queries N]\n"
-               "         [--workload vitality|vickrey|kfail]\n"
+               "         [--workload point|vitality|vickrey|kfail]\n"
                "         [--threads N] [--repeat K] [--async] [--shards N]\n"
-               "         [--shard-spin N] [--shard-sleep-us N]\n"
+               "         [--shard-spin N]\n"
                "         [--listen <port>] [--listen-addr <ip>] [--loops N]\n"
                "         [--pin-workers] [--idle-timeout-ms N] [--stall-timeout-ms N]\n"
                "         [--metrics-addr ip:port] [--trace-sample-n N]\n"
@@ -162,19 +161,24 @@ std::vector<std::uint32_t> parse_list(const std::string& s) {
   std::exit(2);
 }
 
-std::vector<service::Query> random_batch(const service::Snapshot& oracle, std::size_t count,
-                                         std::uint64_t seed) {
+// Random batches for --random-queries: uniform sources and targets, with
+// each workload's own extra dimension (an edge, k, or a failed-edge set)
+// drawn alongside.
+template <class W>
+std::vector<typename W::Request> random_batch(const service::Snapshot& oracle,
+                                              std::size_t count, std::uint64_t seed);
+
+template <>
+std::vector<service::Query> random_batch<service::PointWorkload>(
+    const service::Snapshot& oracle, std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   return service::random_query_batch(oracle.sources(), oracle.num_vertices(),
                                      oracle.num_edges(), count, rng);
 }
 
-// Random typed workload batches for --workload --random-queries: same
-// source/vertex sampling as the point generator, with the workload's own
-// extra dimension (k, or a failed-edge set) drawn alongside.
-std::vector<service::VitalityQuery> random_vitality_batch(const service::Snapshot& oracle,
-                                                          std::size_t count,
-                                                          std::uint64_t seed) {
+template <>
+std::vector<service::VitalityQuery> random_batch<service::VitalityWorkload>(
+    const service::Snapshot& oracle, std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   const auto sources = oracle.sources();
   std::vector<service::VitalityQuery> out(count);
@@ -186,9 +190,9 @@ std::vector<service::VitalityQuery> random_vitality_batch(const service::Snapsho
   return out;
 }
 
-std::vector<service::VickreyQuery> random_vickrey_batch(const service::Snapshot& oracle,
-                                                        std::size_t count,
-                                                        std::uint64_t seed) {
+template <>
+std::vector<service::VickreyQuery> random_batch<service::VickreyWorkload>(
+    const service::Snapshot& oracle, std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   const auto sources = oracle.sources();
   std::vector<service::VickreyQuery> out(count);
@@ -199,8 +203,9 @@ std::vector<service::VickreyQuery> random_vickrey_batch(const service::Snapshot&
   return out;
 }
 
-std::vector<service::KFailQuery> random_kfail_batch(const service::Snapshot& oracle,
-                                                    std::size_t count, std::uint64_t seed) {
+template <>
+std::vector<service::KFailQuery> random_batch<service::KFailWorkload>(
+    const service::Snapshot& oracle, std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   const auto sources = oracle.sources();
   const std::uint32_t m = oracle.num_edges();
@@ -215,6 +220,69 @@ std::vector<service::KFailQuery> random_kfail_batch(const service::Snapshot& ora
     }
   }
   return out;
+}
+
+struct LocalBatch {
+  std::string batch_path, out_path;
+  std::size_t random_queries = 0;
+  std::uint64_t seed = 0;
+  std::size_t repeat = 1;
+  bool use_async = false;
+  bool sharded = false;
+};
+
+/// Answers one local batch of workload W `repeat` times — synchronously,
+/// or (--async) all submitted up front and then drained, so the batches
+/// overlap on the pool — and reports throughput.
+template <class W>
+int serve_local(service::QueryService& svc, const std::shared_ptr<const service::Snapshot>& oracle,
+                const LocalBatch& lb) {
+  std::vector<typename W::Request> batch;
+  if (!lb.batch_path.empty()) {
+    batch = tools::read_batch_file<W>(lb.batch_path);
+  } else if (lb.random_queries > 0) {
+    batch = random_batch<W>(*oracle, lb.random_queries, lb.seed);
+  }
+  if (batch.empty()) return 0;
+
+  std::vector<typename W::Answer> answers;
+  Timer serve_timer;
+  if (lb.use_async) {
+    std::vector<std::future<service::WorkloadResult<W>>> futures;
+    futures.reserve(lb.repeat);
+    Timer submit_timer;
+    for (std::size_t r = 0; r < lb.repeat; ++r) {
+      auto done = std::make_shared<std::promise<service::WorkloadResult<W>>>();
+      futures.push_back(done->get_future());
+      svc.submit<W>(oracle, batch,
+                    [done](service::WorkloadResult<W> res) { done->set_value(std::move(res)); });
+    }
+    const double submit_ms = submit_timer.millis();
+    for (auto& fut : futures) {
+      service::WorkloadResult<W> res = fut.get();
+      if (res.error) std::rethrow_exception(res.error);
+      answers = std::move(res.answers);
+    }
+    std::printf("submitted %zu async batches in %.3f ms\n", lb.repeat, submit_ms);
+  } else {
+    for (std::size_t r = 0; r < lb.repeat; ++r) answers = svc.batch<W>(*oracle, batch);
+  }
+  const double secs = serve_timer.seconds();
+  const double total = static_cast<double>(batch.size()) * static_cast<double>(lb.repeat);
+  std::printf("answered %zu %s queries x%zu in %.1f ms  (%.0f queries/sec%s)\n", batch.size(),
+              W::kName, lb.repeat, secs * 1e3, secs > 0 ? total / secs : 0.0,
+              lb.use_async ? ", async" : "");
+  if (lb.sharded) {
+    // Router/cache/worker telemetry, rendered from the registry (the
+    // same series --listen serves over /metrics and STATS).
+    std::fputs(obs::render_stats_lines(obs::MetricsRegistry::instance().snapshot()).c_str(),
+               stderr);
+  }
+  if (!lb.out_path.empty()) {
+    if (!tools::write_answer_file<W>(lb.out_path, batch, answers)) return 1;
+    std::printf("wrote answers to %s\n", lb.out_path.c_str());
+  }
+  return 0;
 }
 
 // --listen shutdown flag; set by the SIGINT/SIGTERM handler (the only
@@ -362,7 +430,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string graph_path, snapshot_path, save_path, batch_path, out_path, workload;
+  std::string graph_path, snapshot_path, save_path, batch_path, out_path;
+  std::string workload = service::PointWorkload::kName;
   std::vector<Vertex> sources;
   Config cfg;
   cfg.seed = 42;
@@ -390,7 +459,6 @@ int main(int argc, char** argv) {
   std::uint64_t trace_sample_n = 0;
   double refresh_ahead = 0.0;
   service::ShardBackoff backoff = service::ShardBackoff::from_env();
-  service::SnapshotFormat save_format = service::SnapshotFormat::kV2;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -416,15 +484,6 @@ int main(int argc, char** argv) {
       cfg.landmark_rp = LandmarkRpMethod::kBkAuxGraphs;
     } else if (arg == "--save-snapshot") {
       save_path = next();
-    } else if (arg == "--format") {
-      const std::string fmt = next();
-      if (fmt == "v1") {
-        save_format = service::SnapshotFormat::kV1;
-      } else if (fmt == "v2") {
-        save_format = service::SnapshotFormat::kV2;
-      } else {
-        usage();
-      }
     } else if (arg == "--mmap") {
       use_mmap = true;
     } else if (arg == "--async") {
@@ -433,7 +492,7 @@ int main(int argc, char** argv) {
       batch_path = next();
     } else if (arg == "--workload") {
       workload = next();
-      if (workload != "vitality" && workload != "vickrey" && workload != "kfail") usage();
+      if (!service::any_workload([&]<class W>() { return workload == W::kName; })) usage();
     } else if (arg == "--random-queries") {
       random_queries = tools::cli_u64(next(), "--random-queries");
     } else if (arg == "--threads") {
@@ -442,8 +501,6 @@ int main(int argc, char** argv) {
       shards = static_cast<unsigned>(tools::cli_u64(next(), "--shards"));
     } else if (arg == "--shard-spin") {
       backoff.spin_rounds = static_cast<std::uint32_t>(tools::cli_u64(next(), "--shard-spin"));
-    } else if (arg == "--shard-sleep-us") {
-      backoff.sleep_us = static_cast<std::uint32_t>(tools::cli_u64(next(), "--shard-sleep-us"));
     } else if (arg == "--listen") {
       listen = true;
       const std::uint64_t port = tools::cli_u64(next(), "--listen");
@@ -566,10 +623,9 @@ int main(int argc, char** argv) {
 
     if (!save_path.empty() && oracle != nullptr) {
       Timer t;
-      oracle->save(save_path, save_format);
-      std::printf("saved %s snapshot to %s in %.1f ms (%zu bytes)\n",
-                  save_format == service::SnapshotFormat::kV1 ? "v1" : "v2",
-                  save_path.c_str(), t.millis(), oracle->encoded_size());
+      oracle->save(save_path);
+      std::printf("saved v2 snapshot to %s in %.1f ms (%zu bytes)\n", save_path.c_str(),
+                  t.millis(), oracle->encoded_size());
     }
 
     if (listen) {
@@ -582,123 +638,19 @@ int main(int argc, char** argv) {
                            metrics_addr, trace_sample_n);
     }
 
-    if (!workload.empty()) {
-      // Typed workload batches run the synchronous service entry points
-      // (shard-aware: their replacement lookups route through the shard
-      // workers exactly like point queries).
-      if (oracle == nullptr) {
-        std::fprintf(stderr, "error: --workload needs a local oracle mode\n");
-        return 2;
-      }
-      if (use_async) {
-        std::fprintf(stderr, "error: --workload runs the synchronous path (drop --async)\n");
-        return 2;
-      }
-      std::size_t answered = 0;
-      Timer serve_timer;
-      if (workload == "vitality") {
-        std::vector<service::VitalityQuery> wq;
-        if (!batch_path.empty()) {
-          wq = tools::read_vitality_batch_file(batch_path);
-        } else if (random_queries > 0) {
-          wq = random_vitality_batch(*oracle, random_queries, cfg.seed);
-        }
-        if (wq.empty()) return 0;
-        std::vector<service::VitalityResult> results;
-        for (std::size_t r = 0; r < repeat; ++r) results = svc.vitality_batch(*oracle, wq);
-        answered = wq.size();
-        if (!out_path.empty() &&
-            !tools::write_vitality_answer_file(out_path, wq, results)) {
-          return 1;
-        }
-      } else if (workload == "vickrey") {
-        std::vector<service::VickreyQuery> wq;
-        if (!batch_path.empty()) {
-          wq = tools::read_vickrey_batch_file(batch_path);
-        } else if (random_queries > 0) {
-          wq = random_vickrey_batch(*oracle, random_queries, cfg.seed);
-        }
-        if (wq.empty()) return 0;
-        std::vector<service::VickreyResult> results;
-        for (std::size_t r = 0; r < repeat; ++r) results = svc.vickrey_batch(*oracle, wq);
-        answered = wq.size();
-        if (!out_path.empty() &&
-            !tools::write_vickrey_answer_file(out_path, wq, results)) {
-          return 1;
-        }
-      } else {  // kfail
-        std::vector<service::KFailQuery> wq;
-        if (!batch_path.empty()) {
-          wq = tools::read_kfail_batch_file(batch_path);
-        } else if (random_queries > 0) {
-          wq = random_kfail_batch(*oracle, random_queries, cfg.seed);
-        }
-        if (wq.empty()) return 0;
-        std::vector<Dist> answers;
-        for (std::size_t r = 0; r < repeat; ++r) answers = svc.kfail_batch(*oracle, wq);
-        answered = wq.size();
-        if (!out_path.empty() && !tools::write_kfail_answer_file(out_path, wq, answers)) {
-          return 1;
-        }
-      }
-      const double secs = serve_timer.seconds();
-      const double total = static_cast<double>(answered) * static_cast<double>(repeat);
-      std::printf("answered %zu %s queries x%zu in %.1f ms  (%.0f queries/sec)\n", answered,
-                  workload.c_str(), repeat, secs * 1e3, secs > 0 ? total / secs : 0.0);
-      if (!out_path.empty()) std::printf("wrote answers to %s\n", out_path.c_str());
-      return 0;
-    }
-
-    std::vector<service::Query> batch;
-    if (!batch_path.empty()) {
-      batch = tools::read_batch_file(batch_path);
-    } else if (random_queries > 0) {
-      batch = random_batch(*oracle, random_queries, cfg.seed);
-    }
-    if (batch.empty()) return 0;
-
-    std::vector<Dist> answers;
-    Timer serve_timer;
-    if (use_async) {
-      // Submit every repeat up front, then drain: batches overlap on the
-      // pool instead of running lockstep.
-      double submit_ms = 0.0;
-      std::vector<std::future<service::BatchResult>> futures;
-      futures.reserve(repeat);
-      {
-        Timer submit_timer;
-        for (std::size_t r = 0; r < repeat; ++r) {
-          futures.push_back(svc.submit_batch(oracle, batch));
-        }
-        submit_ms = submit_timer.millis();
-      }
-      for (auto& fut : futures) answers = std::move(fut.get().answers);
-      std::printf("submitted %zu async batches in %.3f ms\n", repeat, submit_ms);
-    } else {
-      for (std::size_t r = 0; r < repeat; ++r) {
-        answers = svc.query_batch(*oracle, batch);
-      }
-    }
-    const double secs = serve_timer.seconds();
-    const double total = static_cast<double>(batch.size()) * static_cast<double>(repeat);
-    std::printf("answered %zu queries x%zu in %.1f ms  (%.0f queries/sec%s)\n", batch.size(),
-                repeat, secs * 1e3, secs > 0 ? total / secs : 0.0,
-                use_async ? ", async" : "");
-    if (shards >= 1) {
-      // Router/cache/worker telemetry, rendered from the registry (the
-      // same series --listen serves over /metrics and STATS).
-      std::fputs(
-          obs::render_stats_lines(obs::MetricsRegistry::instance().snapshot()).c_str(),
-          stderr);
-    }
-
-    if (!out_path.empty()) {
-      if (!tools::write_answer_file(out_path, batch, answers)) return 1;
-      std::printf("wrote answers to %s\n", out_path.c_str());
-    }
+    // Local batch serving, one path for every workload (shard-aware: the
+    // point lookups route through the shard workers when --shards is set).
+    const LocalBatch lb{batch_path, out_path, random_queries, cfg.seed, repeat, use_async,
+                        shards >= 1};
+    int rc = 0;
+    service::any_workload([&]<class W>() {
+      if (workload != W::kName) return false;
+      rc = serve_local<W>(svc, oracle, lb);
+      return true;
+    });
+    return rc;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "error: %s\n", ex.what());
     return 1;
   }
-  return 0;
 }
