@@ -10,6 +10,7 @@
 
 #include "graph/generators.hpp"
 #include "rp/single_pair.hpp"
+#include "tree/ancestry.hpp"
 #include "tree/bfs_tree.hpp"
 #include "tree/lca.hpp"
 #include "util/cuckoo_hash.hpp"
@@ -44,6 +45,17 @@ void BM_LcaBuild(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_LcaBuild)->RangeMultiplier(4)->Range(1 << 10, 1 << 16)->Complexity();
+
+void BM_AncestorIndexBuild(benchmark::State& state) {
+  const Graph g = make_graph(state.range(0));
+  const BfsTree t(g, 0);
+  for (auto _ : state) {
+    AncestorIndex anc(t);
+    benchmark::DoNotOptimize(anc.tout(0));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_AncestorIndexBuild)->RangeMultiplier(4)->Range(1 << 10, 1 << 16)->Complexity();
 
 void BM_LcaQuery(benchmark::State& state) {
   const Graph g = make_graph(state.range(0));

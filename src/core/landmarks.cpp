@@ -36,11 +36,16 @@ LevelSets::LevelSets(const Params& params, const std::vector<Vertex>& forced, Rn
   }
 }
 
+std::unique_ptr<RootedTree> TreePool::build(Vertex v, std::vector<Vertex>& queue) const {
+  return lean_ ? std::make_unique<RootedTree>(*g_, v, queue) : std::make_unique<RootedTree>(*g_, v);
+}
+
 const RootedTree& TreePool::at(Vertex v) {
   MSRP_REQUIRE(v < slot_.size(), "root out of range");
   if (slot_[v] == kNoSlot) {
     slot_[v] = static_cast<std::uint32_t>(trees_.size());
-    trees_.push_back(std::make_unique<RootedTree>(*g_, v));
+    std::vector<Vertex> queue;
+    trees_.push_back(build(v, queue));
   }
   return *trees_[slot_[v]];
 }
@@ -52,7 +57,7 @@ const RootedTree& TreePool::existing(Vertex v) const {
 
 void TreePool::ensure(const std::vector<Vertex>& roots, ThreadPool* pool) {
   // Claim slots sequentially (deterministic pool layout), then build the
-  // missing trees — each an independent BFS + DFS-stamp pass — in parallel.
+  // missing trees — each an independent BFS (+ DFS-stamp pass) — in parallel.
   std::vector<std::pair<Vertex, std::uint32_t>> missing;
   for (const Vertex v : roots) {
     MSRP_REQUIRE(v < slot_.size(), "root out of range");
@@ -61,9 +66,10 @@ void TreePool::ensure(const std::vector<Vertex>& roots, ThreadPool* pool) {
     trees_.emplace_back();  // filled below
     missing.emplace_back(v, slot_[v]);
   }
-  maybe_parallel_for(pool, missing.size(), [&](std::size_t i, std::size_t) {
+  std::vector<std::vector<Vertex>> queues(pool != nullptr ? pool->max_parallelism() : 1);
+  maybe_parallel_for(pool, missing.size(), [&](std::size_t i, std::size_t thread) {
     const auto [v, slot] = missing[i];
-    trees_[slot] = std::make_unique<RootedTree>(*g_, v);
+    trees_[slot] = build(v, queues[thread]);
   });
 }
 

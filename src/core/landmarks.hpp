@@ -6,9 +6,12 @@
 // source. A vertex sampled at several levels has *priority* = its highest
 // level (Section 8's "a center is said to have priority k if it lies in C_k").
 //
-// Every distinct root (source, landmark, or center) needs one BFS tree with
-// an ancestor index; a vertex frequently plays several roles, so the trees
-// live in a TreePool keyed by root vertex and are built exactly once.
+// Every distinct root (source, landmark, or center) needs one BFS tree; a
+// vertex frequently plays several roles, so the trees live in a TreePool
+// keyed by root vertex and are built exactly once. A lean pool holds lean
+// trees (dist and parent_edge, 8 bytes per vertex): the default kMmgPerPair
+// build reads nothing else from a landmark tree. The kBkAuxGraphs build
+// needs parents and ancestry, so its pool is full.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +55,8 @@ class LevelSets {
 /// Lazily-built cache of RootedTree, one per distinct root.
 class TreePool {
  public:
-  explicit TreePool(const Graph& g) : g_(&g), slot_(g.num_vertices(), kNoSlot) {}
+  explicit TreePool(const Graph& g, bool lean = false)
+      : g_(&g), lean_(lean), slot_(g.num_vertices(), kNoSlot) {}
 
   /// Returns the tree rooted at v, building it on first use.
   const RootedTree& at(Vertex v);
@@ -61,16 +65,21 @@ class TreePool {
   const RootedTree& existing(Vertex v) const;
 
   /// Builds trees for every vertex in `roots`. With a pool, the (fully
-  /// independent) BFS+ancestry builds run in parallel; slot indices are
-  /// assigned sequentially first, so the pool's layout — and every tree —
-  /// is identical to the sequential build.
+  /// independent) tree builds run in parallel, lean ones each reusing its
+  /// thread's BFS queue; slot indices are assigned sequentially first, so
+  /// the pool's layout — and every tree — is identical to the sequential
+  /// build.
   void ensure(const std::vector<Vertex>& roots, ThreadPool* pool = nullptr);
 
   std::size_t size() const { return trees_.size(); }
 
  private:
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
+  std::unique_ptr<RootedTree> build(Vertex v, std::vector<Vertex>& queue) const;
+
   const Graph* g_;
+  bool lean_;
   std::vector<std::uint32_t> slot_;
   // deque-like stability: RootedTree is large, store by unique_ptr
   std::vector<std::unique_ptr<RootedTree>> trees_;

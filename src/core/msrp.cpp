@@ -25,7 +25,7 @@ class MsrpEngine {
       : g_(g),
         cfg_(cfg),
         params_(g.num_vertices(), static_cast<std::uint32_t>(sources.size()), cfg),
-        pool_(g),
+        pool_(g, /*lean=*/cfg.landmark_rp == LandmarkRpMethod::kMmgPerPair),
         result_(g, sources) {}
 
   MsrpResult run() {

@@ -159,12 +159,7 @@ Server::Server(service::QueryService& svc, std::shared_ptr<const service::Snapsh
 
   // Every batch funnels through the fair dispatcher; with a single oracle
   // its caps simply act as a global inflight bound.
-  dispatcher_ = std::make_unique<registry::FairDispatcher>(
-      [this](std::shared_ptr<const service::Snapshot> o, std::vector<service::Query> q,
-             service::BatchCallback done, Deadline deadline) {
-        svc_.submit_batch(std::move(o), std::move(q), std::move(done), deadline);
-      },
-      opts_.dispatch);
+  dispatcher_ = std::make_unique<registry::FairDispatcher>(opts_.dispatch);
 
   // Per-stage latency histograms plus the registry export of everything the
   // server already counts. The histogram handles are process-global, so

@@ -6,27 +6,9 @@
 
 namespace msrp::registry {
 
-FairDispatcher::FairDispatcher(Submit submit, DispatchOptions opts)
-    : submit_(std::move(submit)), opts_(opts) {
-  MSRP_REQUIRE(submit_ != nullptr, "dispatcher: null submit function");
+FairDispatcher::FairDispatcher(DispatchOptions opts) : opts_(opts) {
   MSRP_REQUIRE(opts_.per_tenant_inflight >= 1, "dispatcher: per-tenant inflight cap must be >= 1");
   MSRP_REQUIRE(opts_.total_inflight >= 1, "dispatcher: total inflight cap must be >= 1");
-}
-
-DispatchVerdict FairDispatcher::submit(std::uint64_t digest,
-                                       std::shared_ptr<const service::Snapshot> oracle,
-                                       std::vector<service::Query> queries,
-                                       service::BatchCallback done, std::uint32_t weight,
-                                       Deadline deadline) {
-  // Point-query batches are just one kind of task: wrap the constructor's
-  // Submit function into a StartFn and share the admission machinery.
-  return submit_task(
-      digest,
-      [this, oracle = std::move(oracle),
-       queries = std::move(queries)](service::BatchCallback cb, Deadline dl) mutable {
-        submit_(std::move(oracle), std::move(queries), std::move(cb), dl);
-      },
-      std::move(done), weight, deadline);
 }
 
 DispatchVerdict FairDispatcher::submit_task(std::uint64_t digest, StartFn start,

@@ -4,7 +4,7 @@
 /// The QueryService pool is a shared resource: without a gate, one tenant
 /// streaming huge batches at one digest occupies every worker and every
 /// other tenant's batches queue behind its backlog. The dispatcher sits
-/// between the server's frame handler and QueryService::submit_batch and
+/// between the server's frame handler and the QueryService submits and
 /// enforces three limits:
 ///
 ///   * per-tenant inflight cap — at most `per_tenant_inflight` batches of
@@ -22,8 +22,8 @@
 /// dispatch, and the fairness test in tests/registry_test.cpp pins exactly
 /// that property.
 ///
-/// Thread safety: submit() and the internal completion hook may run
-/// concurrently from any threads. The underlying submit function is always
+/// Thread safety: submit_task() and the internal completion hook may run
+/// concurrently from any threads. A batch's start function is always
 /// invoked OUTSIDE the dispatcher lock (it may do real work), and the
 /// completion bookkeeping runs BEFORE the caller's callback — so by the
 /// time a server's inflight gate releases its last batch, the dispatcher
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -61,24 +60,16 @@ enum class DispatchVerdict {
 
 class FairDispatcher {
  public:
-  /// The downstream submit — QueryService::submit_batch in production, a
-  /// manually-completed stub in the fairness tests. The Deadline is the
-  /// batch's end-to-end budget (kNoDeadline = none), already spent in part
-  /// by any time the batch sat in the dispatch queue.
-  using Submit = std::function<void(std::shared_ptr<const service::Snapshot>,
-                                    std::vector<service::Query>, service::BatchCallback,
-                                    Deadline)>;
-
   /// A deferred batch of ANY workload: invoked (at most once, outside the
   /// dispatcher lock) when the batch wins an inflight slot, with the
   /// dispatcher's bookkeeping wrapped into the callback it must hand to the
   /// service. Admission control does not care what the batch computes —
-  /// only that exactly one completion comes back — so the v3 opcodes
-  /// (vitality, Vickrey, k-fail) ride the same WRR ring as point-query
-  /// batches via submit_task().
+  /// only that exactly one completion comes back. The Deadline is the
+  /// batch's end-to-end budget (kNoDeadline = none), already spent in part
+  /// by any time the batch sat in the dispatch queue.
   using StartFn = std::function<void(service::BatchCallback, Deadline)>;
 
-  FairDispatcher(Submit submit, DispatchOptions opts);
+  explicit FairDispatcher(DispatchOptions opts);
 
   FairDispatcher(const FairDispatcher&) = delete;
   FairDispatcher& operator=(const FairDispatcher&) = delete;
@@ -86,19 +77,11 @@ class FairDispatcher {
   /// Admits one batch for `digest`. On kDispatched/kQueued the callback
   /// fires exactly once when the batch completes (bookkeeping already
   /// done); on kBusy it never fires. `weight` is the tenant's WRR share —
-  /// grants per ring lap; later submits may revise it. A batch whose
-  /// `deadline` passes while parked in the queue is completed with
-  /// DeadlineExceeded at the next pump instead of dispatching stale work.
-  DispatchVerdict submit(std::uint64_t digest,
-                         std::shared_ptr<const service::Snapshot> oracle,
-                         std::vector<service::Query> queries, service::BatchCallback done,
-                         std::uint32_t weight = 1, Deadline deadline = kNoDeadline);
-
-  /// Like submit(), for a batch that starts through an arbitrary closure
-  /// instead of the constructor's Submit function. `start` receives the
+  /// grants per ring lap; later submits may revise it. `start` receives the
   /// bookkeeping-wrapped callback and the deadline; it must hand them to
-  /// exactly one service submit. A batch whose deadline expires while
-  /// queued completes with DeadlineExceeded and `start` is never invoked.
+  /// exactly one service submit. A batch whose `deadline` passes while
+  /// parked in the queue is completed with DeadlineExceeded at the next
+  /// pump, and its `start` is never invoked.
   DispatchVerdict submit_task(std::uint64_t digest, StartFn start,
                               service::BatchCallback done, std::uint32_t weight = 1,
                               Deadline deadline = kNoDeadline);
@@ -145,7 +128,6 @@ class FairDispatcher {
   /// under digest churn).
   void maybe_erase_locked(std::uint64_t digest);
 
-  Submit submit_;
   DispatchOptions opts_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Tenant> tenants_;

@@ -11,12 +11,18 @@
 //   * dist(v), parent(v), parent_edge(v)
 //   * "is edge e on the canonical s->t path?"   (tree-edge + ancestry test)
 //   * position of an on-path edge (distance of its far endpoint from s)
+//
+// A *lean* tree keeps only dist and parent_edge (8 bytes per vertex instead
+// of 16): parent(), order(), the path extractors and rebuild() are not
+// available on it. The landmark trees of the default build are lean (see
+// ancestry.hpp).
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/assert.hpp"
 #include "util/distance.hpp"
 
 namespace msrp {
@@ -27,6 +33,11 @@ class BfsTree {
   /// treated as deleted (used by the brute-force replacement oracle).
   BfsTree(const Graph& g, Vertex root, EdgeId skip_edge = kNoEdge);
 
+  /// Lean tree: the same BFS from `root`, keeping only dist and
+  /// parent_edge. `queue` is caller scratch for the BFS queue (reused across
+  /// trees, so building many lean trees allocates nothing else).
+  BfsTree(const Graph& g, Vertex root, std::vector<Vertex>& queue);
+
   /// Empty tree; rebuild() before use.
   BfsTree() = default;
 
@@ -35,8 +46,11 @@ class BfsTree {
   /// entries of order()), so a rebuild on the same graph costs O(touched)
   /// setup instead of four fresh n-sized allocations — the skip-edge loops
   /// of the brute-force oracle and the FT-subgraph builder rebuild m times
-  /// per source.
+  /// per source. Not for lean trees.
   void rebuild(const Graph& g, Vertex root, EdgeId skip_edge = kNoEdge);
+
+  /// True iff this tree was built lean (dist and parent_edge only).
+  bool lean() const { return parent_.size() != dist_.size(); }
 
   Vertex root() const { return root_; }
   Vertex num_vertices() const { return static_cast<Vertex>(dist_.size()); }
@@ -47,13 +61,21 @@ class BfsTree {
   bool reachable(Vertex v) const { return dist_[v] != kInfDist; }
 
   /// Parent in the tree; kNoVertex for the root and unreachable vertices.
-  Vertex parent(Vertex v) const { return parent_[v]; }
+  /// Full trees only.
+  Vertex parent(Vertex v) const {
+    MSRP_DCHECK(!lean(), "parent() of a lean tree");
+    return parent_[v];
+  }
 
   /// Edge id to the parent; kNoEdge for the root and unreachable vertices.
   EdgeId parent_edge(Vertex v) const { return parent_edge_[v]; }
 
   /// Vertices in BFS discovery order (root first); unreachable ones absent.
-  const std::vector<Vertex>& order() const { return order_; }
+  /// Full trees only.
+  const std::vector<Vertex>& order() const {
+    MSRP_DCHECK(!lean(), "order() of a lean tree");
+    return order_;
+  }
 
   /// The canonical root->t path as a vertex sequence (root first, t last).
   /// Empty if t is unreachable.
@@ -71,6 +93,10 @@ class BfsTree {
   std::optional<Vertex> tree_edge_child(const Graph& g, EdgeId e) const;
 
  private:
+  /// The BFS loop of both kinds of tree: fills dist_, parent_edge_ and, when
+  /// allocated, parent_, appending each discovered vertex to `queue`.
+  void search(const Graph& g, Vertex root, EdgeId skip_edge, std::vector<Vertex>& queue);
+
   Vertex root_ = kNoVertex;
   std::vector<Dist> dist_;
   std::vector<Vertex> parent_;

@@ -4,57 +4,22 @@
 
 namespace msrp {
 
-Lca::Lca(const BfsTree& tree) : tree_(&tree) {
-  const Vertex n = tree.num_vertices();
-  tin_.assign(n, kNoStamp);
-  tout_.assign(n, kNoStamp);
-  first_occ_.assign(n, kNoStamp);
-
-  // Children lists from parent pointers, in BFS order so the tour is
-  // deterministic.
-  std::vector<std::vector<Vertex>> children(n);
+Lca::Lca(const BfsTree& tree) : tree_(&tree), anc_(tree) {
+  // Every DFS stamp but the root's exit is one Euler step: entering v visits
+  // v, leaving v returns to its parent. So the tour of the root's component
+  // has 2 * |order| - 1 entries, indexed by stamp.
+  const auto len = static_cast<std::uint32_t>(2 * tree.order().size() - 1);
+  euler_vertex_.resize(len);
+  euler_depth_.resize(len);
   for (const Vertex v : tree.order()) {
-    if (tree.parent(v) != kNoVertex) children[tree.parent(v)].push_back(v);
-  }
-
-  euler_vertex_.reserve(2 * n);
-  euler_depth_.reserve(2 * n);
-
-  // Iterative Euler tour of the root's component.
-  struct Frame {
-    Vertex v;
-    std::uint32_t depth;
-    std::size_t next_child;
-  };
-  std::uint32_t stamp = 0;
-  std::vector<Frame> stack{{tree.root(), 0, 0}};
-  tin_[tree.root()] = stamp++;
-  first_occ_[tree.root()] = 0;
-  euler_vertex_.push_back(tree.root());
-  euler_depth_.push_back(0);
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    if (f.next_child < children[f.v].size()) {
-      const Vertex c = children[f.v][f.next_child++];
-      tin_[c] = stamp++;
-      first_occ_[c] = static_cast<std::uint32_t>(euler_vertex_.size());
-      euler_vertex_.push_back(c);
-      euler_depth_.push_back(f.depth + 1);
-      stack.push_back({c, f.depth + 1, 0});
-    } else {
-      tout_[f.v] = stamp++;
-      stack.pop_back();
-      if (!stack.empty()) {
-        // Returning to the parent: record another occurrence.
-        const Frame& p = stack.back();
-        euler_vertex_.push_back(p.v);
-        euler_depth_.push_back(p.depth);
-      }
-    }
+    euler_vertex_[anc_.tin(v)] = v;
+    euler_depth_[anc_.tin(v)] = tree.dist(v);
+    if (v == tree.root()) continue;
+    euler_vertex_[anc_.tout(v)] = tree.parent(v);
+    euler_depth_[anc_.tout(v)] = tree.dist(v) - 1;
   }
 
   // Sparse table over euler_depth_.
-  const auto len = static_cast<std::uint32_t>(euler_depth_.size());
   log2_.assign(len + 1, 0);
   for (std::uint32_t i = 2; i <= len; ++i) log2_[i] = log2_[i / 2] + 1;
   const std::uint32_t levels = log2_[len] + 1;
@@ -79,9 +44,9 @@ std::uint32_t Lca::rmq(std::uint32_t l, std::uint32_t r) const {
 }
 
 Vertex Lca::lca(Vertex x, Vertex y) const {
-  MSRP_REQUIRE(x < tin_.size() && y < tin_.size(), "vertex out of range");
-  if (first_occ_[x] == kNoStamp || first_occ_[y] == kNoStamp) return kNoVertex;
-  std::uint32_t l = first_occ_[x], r = first_occ_[y];
+  MSRP_REQUIRE(x < tree_->num_vertices() && y < tree_->num_vertices(), "vertex out of range");
+  std::uint32_t l = anc_.tin(x), r = anc_.tin(y);
+  if (l == AncestorIndex::kNoStamp || r == AncestorIndex::kNoStamp) return kNoVertex;
   if (l > r) std::swap(l, r);
   return euler_vertex_[rmq(l, r)];
 }

@@ -1,9 +1,9 @@
 // Least-common-ancestor structure over a BfsTree (Lemma 6 of the paper,
 // after Bender & Farach-Colton, LATIN 2000).
 //
-// Euler tour + sparse-table RMQ: O(n log n) build, O(1) lca(). The structure
-// also exposes the two O(1) predicates the MSRP pipeline issues millions of
-// times:
+// Euler tour + sparse-table RMQ: O(n log n) build, O(1) lca(). The tour is
+// read off the AncestorIndex stamps, and the structure also exposes that
+// index's two O(1) predicates:
 //   * is_ancestor(a, v)      — a on the canonical root->v path?
 //   * edge_on_path(child, t) — tree edge with deeper endpoint `child` on the
 //                              canonical root->t path? (== is_ancestor)
@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "tree/bfs_tree.hpp"
+#include "tree/ancestry.hpp"
 
 namespace msrp {
 
@@ -27,29 +27,21 @@ class Lca {
   Vertex lca(Vertex x, Vertex y) const;
 
   /// True iff a lies on the canonical root->v path (a == v counts).
-  bool is_ancestor(Vertex a, Vertex v) const {
-    if (tin_[a] == kNoStamp || tin_[v] == kNoStamp) return false;
-    return tin_[a] <= tin_[v] && tout_[v] <= tout_[a];
-  }
+  bool is_ancestor(Vertex a, Vertex v) const { return anc_.is_ancestor(a, v); }
 
   /// For a tree edge whose deeper endpoint is `child`: is it on root->t?
-  bool edge_on_path(Vertex child, Vertex t) const { return is_ancestor(child, t); }
+  bool edge_on_path(Vertex child, Vertex t) const { return anc_.edge_on_path(child, t); }
 
   /// Tree distance between x and y (through their LCA); kInfDist if they
   /// are in different components of the BFS forest.
   Dist tree_distance(Vertex x, Vertex y) const;
 
  private:
-  static constexpr std::uint32_t kNoStamp = static_cast<std::uint32_t>(-1);
-
-  std::uint32_t depth_at(std::uint32_t euler_pos) const { return euler_depth_[euler_pos]; }
-
   /// Index (into the Euler arrays) of the minimum depth in [l, r].
   std::uint32_t rmq(std::uint32_t l, std::uint32_t r) const;
 
   const BfsTree* tree_;
-  std::vector<std::uint32_t> tin_, tout_;       // Euler-interval stamps
-  std::vector<std::uint32_t> first_occ_;        // first Euler occurrence
+  AncestorIndex anc_;  // tin(v) is also v's first Euler position
   std::vector<Vertex> euler_vertex_;
   std::vector<std::uint32_t> euler_depth_;
   std::vector<std::vector<std::uint32_t>> sparse_;  // sparse_[j][i] = argmin over [i, i+2^j)

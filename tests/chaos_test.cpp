@@ -248,24 +248,22 @@ TEST(RetryPolicy, SeedsProduceDistinctSchedules) {
 
 // ----------------------------------------------- dispatcher queue deadlines
 
-std::vector<Query> tagged_batch(Vertex tag) { return {Query{tag, 0, 0}}; }
-
 TEST(FairDispatcherDeadline, ExpiredQueuedBatchFailsInsteadOfDispatching) {
   struct {
     std::deque<service::BatchCallback> captured;
   } sink;
   registry::FairDispatcher disp(
-      [&](std::shared_ptr<const Snapshot>, std::vector<Query>,
-          service::BatchCallback done, Deadline) { sink.captured.push_back(std::move(done)); },
       {.per_tenant_inflight = 1, .per_tenant_queue = 8, .total_inflight = 8});
+  auto start = [&](service::BatchCallback done, Deadline) {
+    sink.captured.push_back(std::move(done));
+  };
 
   auto noop = [](service::BatchResult) {};
-  ASSERT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop),
-            registry::DispatchVerdict::kDispatched);
+  ASSERT_EQ(disp.submit_task(1, start, noop), registry::DispatchVerdict::kDispatched);
 
   bool expired_seen = false;
   const Deadline past = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  ASSERT_EQ(disp.submit(1, nullptr, tagged_batch(2),
+  ASSERT_EQ(disp.submit_task(1, start,
                         [&](service::BatchResult r) {
                           ASSERT_NE(r.error, nullptr);
                           try {

@@ -967,6 +967,25 @@ TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
   EXPECT_EQ(ts.server.stats().batch_errors, 1u);
 }
 
+TEST(NetServer, ErrorFrameTextNamesNoSourceLocation) {
+  // The ERROR text is the failed check and its message only: no build path
+  // and no line number, so it is stable across builds and edits.
+  SKIP_WITHOUT_EPOLL();
+  NetFixture fx;
+  TestServer ts(fx.svc, fx.oracle);
+  net::Client client(ts.client_options());
+  try {
+    client.query_batch(std::vector<Query>{{1, 0, 0}});  // 1 is not a source
+    FAIL() << "expected a batch error";
+  } catch (const std::runtime_error& ex) {
+    const std::string text = ex.what();
+    EXPECT_EQ(text,
+              "net client: batch failed: precondition failed: oracle.is_source(q.s) — "
+              "query source is not an oracle source");
+    EXPECT_EQ(text.find('/'), std::string::npos);
+  }
+}
+
 TEST(NetServer, ConcurrentClientsGetConsistentAnswers) {
   SKIP_WITHOUT_EPOLL();
   NetFixture fx;

@@ -39,10 +39,9 @@ using service::Snapshot;
 
 // --------------------------------------------------------- FairDispatcher ---
 
-/// Captures every downstream submit so the test completes batches by hand
-/// and observes the exact dispatch order. The tenant is tagged in the
-/// batch's first query source (the Submit signature does not carry the
-/// digest — production does not need it there).
+/// Captures every batch the dispatcher starts so the test completes
+/// batches by hand and observes the exact dispatch order. Each batch's
+/// start function carries its tenant tag.
 struct ManualSubmit {
   struct Captured {
     Vertex tag = 0;
@@ -51,11 +50,10 @@ struct ManualSubmit {
   std::deque<Captured> captured;
   bool throw_on_submit = false;
 
-  FairDispatcher::Submit fn() {
-    return [this](std::shared_ptr<const Snapshot>, std::vector<Query> queries,
-                  service::BatchCallback done, Deadline) {
+  FairDispatcher::StartFn start(Vertex tag) {
+    return [this, tag](service::BatchCallback done, Deadline) {
       if (throw_on_submit) throw std::runtime_error("submit refused");
-      captured.push_back({queries.empty() ? Vertex{0} : queries[0].s, std::move(done)});
+      captured.push_back({tag, std::move(done)});
     };
   }
 
@@ -69,13 +67,11 @@ struct ManualSubmit {
   }
 };
 
-std::vector<Query> tagged_batch(Vertex tag) { return {Query{tag, 0, 0}}; }
-
 TEST(FairDispatcher, FastPathDispatchesUnderCaps) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), DispatchOptions{});
+  FairDispatcher disp(DispatchOptions{});
   int completions = 0;
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1),
+  EXPECT_EQ(disp.submit_task(1, ms.start(1),
                         [&](service::BatchResult) { ++completions; }),
             DispatchVerdict::kDispatched);
   EXPECT_EQ(disp.inflight_batches(), 1u);
@@ -89,12 +85,12 @@ TEST(FairDispatcher, FastPathDispatchesUnderCaps) {
 
 TEST(FairDispatcher, PerTenantCapQueuesInFifoOrder) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 1, .per_tenant_queue = 8,
+  FairDispatcher disp({.per_tenant_inflight = 1, .per_tenant_queue = 8,
                                 .total_inflight = 8});
   auto noop = [](service::BatchResult) {};
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(10), noop), DispatchVerdict::kDispatched);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(11), noop), DispatchVerdict::kQueued);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(12), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(1, ms.start(10), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(1, ms.start(11), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(1, ms.start(12), noop), DispatchVerdict::kQueued);
   EXPECT_EQ(disp.queued_batches(), 2u);
 
   // Completions drain the tenant's own queue in submission order.
@@ -109,13 +105,13 @@ TEST(FairDispatcher, PerTenantCapQueuesInFifoOrder) {
 
 TEST(FairDispatcher, FullQueueAnswersBusyAndNeverRunsTheCallback) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 1, .per_tenant_queue = 1,
+  FairDispatcher disp({.per_tenant_inflight = 1, .per_tenant_queue = 1,
                                 .total_inflight = 8});
   auto noop = [](service::BatchResult) {};
   bool busy_callback_ran = false;
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop), DispatchVerdict::kDispatched);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop), DispatchVerdict::kQueued);
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1),
+  EXPECT_EQ(disp.submit_task(1, ms.start(1), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(1, ms.start(1), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(1, ms.start(1),
                         [&](service::BatchResult) { busy_callback_ran = true; }),
             DispatchVerdict::kBusy);
   EXPECT_EQ(disp.busy_rejections(), 1u);
@@ -132,17 +128,17 @@ TEST(FairDispatcher, FullQueueAnswersBusyAndNeverRunsTheCallback) {
 // the second completion even though seven A batches were queued before it.
 TEST(FairDispatcher, SaturatingTenantCannotStarveAnother) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 1, .per_tenant_queue = 64,
+  FairDispatcher disp({.per_tenant_inflight = 1, .per_tenant_queue = 64,
                                 .total_inflight = 1});
   auto noop = [](service::BatchResult) {};
   // Tenant A floods: one dispatched, seven parked.
-  EXPECT_EQ(disp.submit(0xA, nullptr, tagged_batch(1), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(0xA, ms.start(1), noop), DispatchVerdict::kDispatched);
   for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(disp.submit(0xA, nullptr, tagged_batch(1), noop), DispatchVerdict::kQueued);
+    EXPECT_EQ(disp.submit_task(0xA, ms.start(1), noop), DispatchVerdict::kQueued);
   }
   // Tenant B arrives last with two batches.
-  EXPECT_EQ(disp.submit(0xB, nullptr, tagged_batch(2), noop), DispatchVerdict::kQueued);
-  EXPECT_EQ(disp.submit(0xB, nullptr, tagged_batch(2), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(0xB, ms.start(2), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(0xB, ms.start(2), noop), DispatchVerdict::kQueued);
 
   std::vector<Vertex> order;
   while (!ms.captured.empty()) order.push_back(ms.complete_front());
@@ -154,13 +150,13 @@ TEST(FairDispatcher, SaturatingTenantCannotStarveAnother) {
 
 TEST(FairDispatcher, WeightGrantsProportionalShare) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 2, .per_tenant_queue = 64,
+  FairDispatcher disp({.per_tenant_inflight = 2, .per_tenant_queue = 64,
                                 .total_inflight = 1});
   auto noop = [](service::BatchResult) {};
-  EXPECT_EQ(disp.submit(0xA, nullptr, tagged_batch(1), noop, /*weight=*/2),
+  EXPECT_EQ(disp.submit_task(0xA, ms.start(1), noop, /*weight=*/2),
             DispatchVerdict::kDispatched);
-  for (int i = 0; i < 5; ++i) disp.submit(0xA, nullptr, tagged_batch(1), noop, 2);
-  for (int i = 0; i < 3; ++i) disp.submit(0xB, nullptr, tagged_batch(2), noop, 1);
+  for (int i = 0; i < 5; ++i) disp.submit_task(0xA, ms.start(1), noop, 2);
+  for (int i = 0; i < 3; ++i) disp.submit_task(0xB, ms.start(2), noop, 1);
 
   std::vector<Vertex> order;
   while (!ms.captured.empty()) order.push_back(ms.complete_front());
@@ -170,10 +166,10 @@ TEST(FairDispatcher, WeightGrantsProportionalShare) {
 
 TEST(FairDispatcher, SubmitExceptionDeliversFailureExactlyOnce) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), DispatchOptions{});
+  FairDispatcher disp(DispatchOptions{});
   ms.throw_on_submit = true;
   int failures = 0;
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1),
+  EXPECT_EQ(disp.submit_task(1, ms.start(1),
                         [&](service::BatchResult r) { failures += (r.error != nullptr); }),
             DispatchVerdict::kDispatched);
   EXPECT_EQ(failures, 1);
@@ -182,20 +178,20 @@ TEST(FairDispatcher, SubmitExceptionDeliversFailureExactlyOnce) {
   // The dispatcher stays healthy for the next submit.
   ms.throw_on_submit = false;
   int completions = 0;
-  disp.submit(1, nullptr, tagged_batch(1), [&](service::BatchResult) { ++completions; });
+  disp.submit_task(1, ms.start(1), [&](service::BatchResult) { ++completions; });
   ms.complete_front();
   EXPECT_EQ(completions, 1);
 }
 
 TEST(FairDispatcher, TotalInflightCapBindsAcrossTenants) {
   ManualSubmit ms;
-  FairDispatcher disp(ms.fn(), {.per_tenant_inflight = 4, .per_tenant_queue = 8,
+  FairDispatcher disp({.per_tenant_inflight = 4, .per_tenant_queue = 8,
                                 .total_inflight = 2});
   auto noop = [](service::BatchResult) {};
-  EXPECT_EQ(disp.submit(1, nullptr, tagged_batch(1), noop), DispatchVerdict::kDispatched);
-  EXPECT_EQ(disp.submit(2, nullptr, tagged_batch(2), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(1, ms.start(1), noop), DispatchVerdict::kDispatched);
+  EXPECT_EQ(disp.submit_task(2, ms.start(2), noop), DispatchVerdict::kDispatched);
   // Tenant 3 is under its own cap but the pool is full.
-  EXPECT_EQ(disp.submit(3, nullptr, tagged_batch(3), noop), DispatchVerdict::kQueued);
+  EXPECT_EQ(disp.submit_task(3, ms.start(3), noop), DispatchVerdict::kQueued);
   EXPECT_EQ(ms.complete_front(), 1);
   ASSERT_EQ(ms.captured.size(), 2u);  // tenant 3 dispatched by the completion
   EXPECT_EQ(ms.captured.back().tag, 3);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/landmarks.hpp"
 #include "graph/generators.hpp"
 #include "tree/ancestry.hpp"
 #include "tree/bfs_tree.hpp"
 #include "tree/lca.hpp"
+#include "util/thread_pool.hpp"
 
 namespace msrp {
 namespace {
@@ -145,6 +149,99 @@ TEST(BfsTree, OrderIsBfsOrder) {
   for (std::size_t i = 1; i < ord.size(); ++i) {
     EXPECT_GE(t.dist(ord[i]), t.dist(ord[i - 1]));
   }
+}
+
+// ---------------------------------------------------------- ancestor index
+
+/// Reference stamps from a recursive DFS over the graph: u's children are
+/// the neighbours whose parent edge is the arc to u, in adjacency order —
+/// the order BFS discovered them in. One stamp on entry, one on exit.
+void expect_recursive_dfs_stamps(const Graph& g, const BfsTree& t) {
+  const Vertex n = g.num_vertices();
+  std::vector<std::uint32_t> tin(n, AncestorIndex::kNoStamp), tout(n, AncestorIndex::kNoStamp);
+  std::uint32_t stamp = 0;
+  std::function<void(Vertex)> dfs = [&](Vertex u) {
+    tin[u] = stamp++;
+    for (const Arc& a : g.neighbors(u)) {
+      if (a.to != t.root() && t.parent_edge(a.to) == a.edge && t.parent(a.to) == u) dfs(a.to);
+    }
+    tout[u] = stamp++;
+  };
+  dfs(t.root());
+
+  const AncestorIndex anc(t);
+  for (Vertex v = 0; v < n; ++v) {
+    EXPECT_EQ(anc.tin(v), tin[v]) << "root=" << t.root() << " v=" << v;
+    EXPECT_EQ(anc.tout(v), tout[v]) << "root=" << t.root() << " v=" << v;
+  }
+}
+
+TEST(AncestorIndex, MatchesRecursiveDfsOnGrids) {
+  for (const auto& [rows, cols] : {std::pair<Vertex, Vertex>{1, 1}, {1, 9}, {4, 4}, {7, 12}}) {
+    const Graph g = gen::grid(rows, cols);
+    for (Vertex root = 0; root < g.num_vertices(); root += 3) {
+      expect_recursive_dfs_stamps(g, BfsTree(g, root));
+    }
+  }
+}
+
+TEST(AncestorIndex, MatchesRecursiveDfsOnErGraphs) {
+  Rng rng(0xA11CE);
+  for (int iter = 0; iter < 6; ++iter) {
+    const Graph g = gen::connected_avg_degree(150 + 40 * iter, 2.0 + iter, rng);
+    for (int r = 0; r < 4; ++r) {
+      expect_recursive_dfs_stamps(g, BfsTree(g, static_cast<Vertex>(rng.next_below(150))));
+    }
+  }
+}
+
+TEST(AncestorIndex, UnreachableVerticesKeepNoStamp) {
+  Rng rng(12);
+  const Graph g = gen::erdos_renyi(200, 0.006, rng);  // several components
+  for (Vertex root = 0; root < 200; root += 17) {
+    const BfsTree t(g, root);
+    ASSERT_LT(t.order().size(), 200u);
+    expect_recursive_dfs_stamps(g, t);
+    const AncestorIndex anc(t);
+    for (Vertex v = 0; v < 200; ++v) {
+      if (t.reachable(v)) continue;
+      EXPECT_EQ(anc.tin(v), AncestorIndex::kNoStamp);
+      EXPECT_EQ(anc.tout(v), AncestorIndex::kNoStamp);
+    }
+  }
+}
+
+TEST(AncestorIndex, MatchesRecursiveDfsOnSkipEdgeTrees) {
+  Rng rng(0x5C1B);
+  const Graph grid = gen::grid(6, 9);
+  const Graph chords = gen::path_with_chords(90, 10, rng);
+  for (const Graph* g : {&grid, &chords}) {
+    for (EdgeId e = 0; e < g->num_edges(); e += 5) {
+      expect_recursive_dfs_stamps(*g, BfsTree(*g, 0, e));
+    }
+  }
+}
+
+TEST(BfsTree, LeanPoolTreesMatchFullTrees) {
+  Rng rng(0x1EA);
+  const Graph g = gen::connected_avg_degree(400, 4.0, rng);
+  std::vector<Vertex> roots;
+  for (Vertex r = 0; r < 400; r += 7) roots.push_back(r);
+  ThreadPool threads(3);
+  TreePool pool(g, /*lean=*/true);
+  pool.ensure(roots, &threads);
+  for (const Vertex r : roots) {
+    const BfsTree& lean = pool.existing(r).tree;
+    const RootedTree full(g, r);
+    ASSERT_TRUE(lean.lean());
+    ASSERT_FALSE(full.tree.lean());
+    EXPECT_EQ(lean.root(), r);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(lean.dist(v), full.tree.dist(v)) << "r=" << r << " v=" << v;
+      EXPECT_EQ(lean.parent_edge(v), full.tree.parent_edge(v)) << "r=" << r << " v=" << v;
+    }
+  }
+  EXPECT_THROW(pool.existing(roots[0]).tree.path_to(1), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------- lca
