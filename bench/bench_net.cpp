@@ -126,10 +126,6 @@ net::ClientOptions loopback_options() {
 }
 
 void BM_NetRoundTrip(benchmark::State& state) {
-  if (!net::Server::supported()) {
-    state.SkipWithError("epoll serving unsupported on this platform");
-    return;
-  }
   net::Client client(loopback_options());
   const auto batch = make_batch(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
@@ -142,10 +138,6 @@ void BM_NetRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_NetRoundTrip)->Arg(1)->Arg(64)->Arg(1024)->Arg(16384)->UseRealTime();
 
 void BM_NetPipelined(benchmark::State& state) {
-  if (!net::Server::supported()) {
-    state.SkipWithError("epoll serving unsupported on this platform");
-    return;
-  }
   const std::size_t inflight = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kBatchSize = 512;
   net::Client client(loopback_options());
@@ -162,10 +154,6 @@ void BM_NetPipelined(benchmark::State& state) {
 BENCHMARK(BM_NetPipelined)->Arg(1)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_NetPipelinedMultiLoop(benchmark::State& state) {
-  if (!net::Server::supported()) {
-    state.SkipWithError("epoll serving unsupported on this platform");
-    return;
-  }
   const unsigned loops = static_cast<unsigned>(state.range(0));
   constexpr std::size_t kConns = 4;
   constexpr std::size_t kInflightPerConn = 4;
@@ -224,10 +212,6 @@ struct RegistryLoopbackServer {
 };
 
 void BM_NetMultiTenant(benchmark::State& state) {
-  if (!net::Server::supported()) {
-    state.SkipWithError("epoll serving unsupported on this platform");
-    return;
-  }
   static RegistryLoopbackServer loopback;
   net::ClientOptions copts;
   copts.port = loopback.server.port();
@@ -268,10 +252,6 @@ void BM_NetMultiTenant(benchmark::State& state) {
 BENCHMARK(BM_NetMultiTenant)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_NetVitality(benchmark::State& state) {
-  if (!net::Server::supported()) {
-    state.SkipWithError("epoll serving unsupported on this platform");
-    return;
-  }
   net::Client client(loopback_options());
   const auto batch = make_vitality_batch(static_cast<std::size_t>(state.range(0)), 17);
   for (auto _ : state) {
@@ -284,10 +264,6 @@ void BM_NetVitality(benchmark::State& state) {
 BENCHMARK(BM_NetVitality)->Arg(64)->Arg(1024)->UseRealTime();
 
 void BM_NetKFail(benchmark::State& state) {
-  if (!net::Server::supported()) {
-    state.SkipWithError("epoll serving unsupported on this platform");
-    return;
-  }
   net::Client client(loopback_options());
   const auto batch = make_kfail_batch(static_cast<std::size_t>(state.range(0)), 18);
   for (auto _ : state) {

@@ -64,10 +64,6 @@ BENCHMARK(BM_QueryBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // routing overhead (validate, bucket, ring round-trips, merge); segment
 // placement and worker spawn happen once, outside the timed region.
 void BM_QueryBatchSharded(benchmark::State& state) {
-  if (!service::ShardRouter::supported()) {
-    state.SkipWithError("multi-process sharding unsupported on this platform");
-    return;
-  }
   const service::Snapshot& oracle = demo_oracle();
   const std::vector<service::Query> batch = demo_batch(oracle);
   service::ShardRouterOptions opts;

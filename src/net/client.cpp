@@ -1,5 +1,13 @@
 #include "net/client.hpp"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -11,19 +19,6 @@
 #include "util/assert.hpp"
 #include "util/deadline.hpp"
 #include "util/failpoint.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#else
-#define MSRP_HAVE_SOCKETS 0
-#endif
 
 namespace msrp::net {
 
@@ -46,13 +41,6 @@ std::chrono::milliseconds RetryPolicy::backoff_for(unsigned attempt) const {
   if (ms < 0.0) ms = 0.0;
   return std::chrono::milliseconds(static_cast<long long>(ms));
 }
-
-#if MSRP_HAVE_SOCKETS
-
-// Sends to a server that closed on us must fail with EPIPE, not SIGPIPE.
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace {
 
@@ -89,9 +77,6 @@ int dial_once(const std::string& host, std::uint16_t port, unsigned timeout_ms) 
   ::fcntl(fd, F_SETFL, flags);  // back to blocking
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-#ifdef SO_NOSIGPIPE
-  ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof one);  // macOS
-#endif
   return fd;
 }
 
@@ -217,6 +202,7 @@ bool Client::try_resend() {
 void Client::write_all(std::span<const std::uint8_t> bytes) {
   std::size_t off = 0;
   while (off < bytes.size()) {
+    // A server that closed on us must fail the send with EPIPE, not SIGPIPE.
     const ::ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -575,41 +561,6 @@ StatsSnapshotFrame Client::stats() {
   return decode_stats_snapshot(reply.payload);
 }
 
-#else  // !MSRP_HAVE_SOCKETS
-
-Client::Client(ClientOptions opts) : opts_(std::move(opts)) {
-  throw std::runtime_error("net client: sockets are unavailable on this platform");
-}
-Client::~Client() = default;
-void Client::dial() {}
-void Client::close_socket() {}
-bool Client::try_resend() { return false; }
-void Client::reconnect() {}
-void Client::ensure_connected() {}
-void Client::write_all(std::span<const std::uint8_t>) {}
-Frame Client::read_frame() { return {}; }
-std::optional<Frame> Client::route_one(std::uint64_t) { return std::nullopt; }
-Frame Client::control_round_trip(std::uint64_t, std::vector<std::uint8_t>) { return {}; }
-std::uint64_t Client::track_and_write(std::uint64_t, std::vector<std::uint8_t>, FrameType,
-                                      std::size_t, std::optional<std::uint32_t>) {
-  return 0;
-}
-void Client::wait_step(std::uint64_t) {}
-void Client::settle_inflight(std::uint64_t, FrameType, std::size_t) {}
-BatchAnswer Client::wait_any() { return {}; }
-RegisterAckFrame Client::register_graph(std::uint32_t,
-                                        std::span<const std::pair<Vertex, Vertex>>,
-                                        std::span<const Vertex>,
-                                        std::optional<std::uint64_t>) {
-  return {};
-}
-RegisterAckFrame Client::register_snapshot_path(const std::string&) { return {}; }
-std::vector<OracleListEntry> Client::list_oracles() { return {}; }
-RegisterAckFrame Client::unregister(std::uint64_t) { return {}; }
-StatsSnapshotFrame Client::stats() { return {}; }
-
-#endif
-
 namespace {
 
 /// The retry loop shared by every idempotent round trip: BUSY rejections,
@@ -666,8 +617,7 @@ auto run_with_retry(Client& client, const RetryPolicy& policy, Attempt attempt)
 }  // namespace
 
 // ------------------------------------------------- one path per workload ---
-// Generic over the tag, and built only from the private helpers above, so
-// the no-sockets build needs no copy of these.
+// Generic over the tag, and built only from the private helpers above.
 
 template <class W>
 std::uint64_t Client::send(std::span<const typename W::Request> queries,

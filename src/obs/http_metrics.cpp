@@ -1,39 +1,23 @@
 #include "obs/http_metrics.hpp"
 
-#include <stdexcept>
-
-#include "net/event_loop.hpp"
-#include "obs/exposition.hpp"
-
-#if defined(__linux__)
-#define MSRP_HAVE_METRICS_HTTP 1
-#else
-#define MSRP_HAVE_METRICS_HTTP 0
-#endif
-
-#if MSRP_HAVE_METRICS_HTTP
-
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
+
+#include "net/event_loop.hpp"
+#include "obs/exposition.hpp"
 
 namespace msrp::obs {
 
 namespace {
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 std::string http_response(int code, const char* reason, const std::string& body,
                           const char* content_type) {
@@ -155,24 +139,18 @@ struct MetricsHttpServer::Impl {
 
   void on_accept() {
     for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) return;  // EAGAIN or transient error — epoll will re-arm
-      set_nonblocking(fd);
       conns.emplace(fd, Conn{});
       loop.add_fd(fd, EPOLLIN, [this, fd](std::uint32_t ev) { on_conn_event(fd, ev); });
     }
   }
 };
 
-bool MetricsHttpServer::supported() { return net::event_loop_supported(); }
-
 MetricsHttpServer::MetricsHttpServer(MetricsRegistry& registry, TraceRing* traces,
                                      const Options& opts)
     : impl_(std::make_unique<Impl>(registry, traces)), host_(opts.host) {
-  if (!supported()) {
-    throw std::runtime_error("metrics http: event loop unsupported on this platform");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("metrics http: socket() failed");
   impl_->listen_fd = fd;
   const int one = 1;
@@ -194,7 +172,6 @@ MetricsHttpServer::MetricsHttpServer(MetricsRegistry& registry, TraceRing* trace
   socklen_t len = sizeof(bound);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
-  set_nonblocking(fd);
   impl_->loop.add_fd(fd, EPOLLIN, [impl = impl_.get()](std::uint32_t) { impl->on_accept(); });
   impl_->thread = std::thread([impl = impl_.get()] { impl->loop.run(); });
 }
@@ -202,21 +179,3 @@ MetricsHttpServer::MetricsHttpServer(MetricsRegistry& registry, TraceRing* trace
 MetricsHttpServer::~MetricsHttpServer() = default;
 
 }  // namespace msrp::obs
-
-#else  // !MSRP_HAVE_METRICS_HTTP
-
-namespace msrp::obs {
-
-struct MetricsHttpServer::Impl {};
-
-bool MetricsHttpServer::supported() { return false; }
-
-MetricsHttpServer::MetricsHttpServer(MetricsRegistry&, TraceRing*, const Options&) {
-  throw std::runtime_error("metrics http: unsupported on this platform");
-}
-
-MetricsHttpServer::~MetricsHttpServer() = default;
-
-}  // namespace msrp::obs
-
-#endif  // MSRP_HAVE_METRICS_HTTP

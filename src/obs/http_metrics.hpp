@@ -8,8 +8,6 @@
 /// exactly what a scraper or a curl-wielding operator needs, and nothing a
 /// request smuggler can get creative with. The listener is independent of
 /// the serving listener so a wedged serving path can still be inspected.
-///
-/// Linux-only like the rest of the epoll layer; supported() gates.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +25,6 @@ class MetricsHttpServer {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = ephemeral; bound port via port()
   };
-
-  /// True where the epoll event loop exists (Linux).
-  static bool supported();
 
   /// Binds, listens, and starts the loop thread. `traces` may be null
   /// (then /traces reports sampling disabled). Throws on bind failure.

@@ -131,8 +131,7 @@ class QueryService {
     /// environment) the workers (shards >= 1); defaults honour the
     /// MSRP_SHARD_* knobs (see backoff.hpp).
     ShardBackoff shard_backoff = ShardBackoff::from_env();
-    /// Pin shard worker k to CPU (k mod hardware_concurrency);
-    /// Linux-only, shards >= 1.
+    /// Pin shard worker k to CPU (k mod hardware_concurrency); shards >= 1.
     bool pin_shard_workers = false;
   };
 

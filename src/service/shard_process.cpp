@@ -1,6 +1,10 @@
 #include "service/shard_process.hpp"
 
+#include <sys/prctl.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -16,14 +20,6 @@
 #include "util/futex.hpp"
 #include "util/shm.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-#if defined(__linux__)
-#include <sys/prctl.h>
-#include <csignal>
-#endif
-
 namespace msrp::service {
 
 std::string shard_channel_name(const std::string& base, std::uint32_t k) {
@@ -38,36 +34,15 @@ std::string shard_doorbell_name(const std::string& base) { return base + ".d"; }
 
 std::string shard_metrics_name(const std::string& base) { return base + ".m"; }
 
-namespace {
-
-/// Orphan watch: a worker must not outlive its supervisor (it would pin the
-/// shm segments forever). On Linux the kernel delivers SIGTERM on parent
-/// death; the getppid() poll below is the portable fallback.
-void arm_parent_death_signal() {
-#if defined(__linux__)
-  ::prctl(PR_SET_PDEATHSIG, SIGTERM);
-#endif
-}
-
-bool parent_alive(long original_ppid) {
-#if defined(__unix__) || defined(__APPLE__)
-  return static_cast<long>(::getppid()) == original_ppid;
-#else
-  (void)original_ppid;
-  return true;
-#endif
-}
-
-}  // namespace
-
 int run_shard_worker(const ShardWorkerConfig& cfg) {
   try {
-    arm_parent_death_signal();
-#if defined(__unix__) || defined(__APPLE__)
-    const long original_ppid = static_cast<long>(::getppid());
-#else
-    const long original_ppid = 0;
-#endif
+    // Orphan watch: a worker must not outlive its supervisor (it would pin
+    // the shm segments forever). The kernel delivers SIGTERM on parent
+    // death; the getppid() polls below cover a parent that died before
+    // this prctl ran.
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+    const ::pid_t original_ppid = ::getppid();
+    const auto parent_alive = [original_ppid] { return ::getppid() == original_ppid; };
 
     ShmSegment chan_seg =
         ShmSegment::open(shard_channel_name(cfg.base_name, cfg.shard_index),
@@ -168,7 +143,7 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
           // crashed supervisor leaves behind, so the orphan check must run
           // here too, not just in the idle loop.
           if (ch->stop_flag().load(std::memory_order_acquire) != 0 ||
-              ((++full_spins & 1023) == 0 && !parent_alive(original_ppid))) {
+              ((++full_spins & 1023) == 0 && !parent_alive())) {
             ch->worker_state().store(ShardChannel::kExited, std::memory_order_release);
             util::futex_wake_u32(ch->worker_state(), 1);
             ring_back();
@@ -199,7 +174,7 @@ int run_shard_worker(const ShardWorkerConfig& cfg) {
           ch->stop_flag().load(std::memory_order_acquire) == 0) {
         util::futex_wait_u32(ch->request_doorbell(), seen, bo.wait_timeout_us);
       }
-      if (!parent_alive(original_ppid)) break;
+      if (!parent_alive()) break;
     }
     ch->worker_state().store(ShardChannel::kExited, std::memory_order_release);
     util::futex_wake_u32(ch->worker_state(), 1);

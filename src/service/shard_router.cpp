@@ -1,10 +1,15 @@
 #include "service/shard_router.hpp"
 
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -12,18 +17,6 @@
 
 #include "util/assert.hpp"
 #include "util/futex.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_FORK 1
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-#else
-#define MSRP_HAVE_FORK 0
-#endif
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace msrp::service {
 
@@ -40,12 +33,7 @@ constexpr std::size_t kStallChecksBeforeForcedRespawn = 3000;
 /// at the same time (the fuzz suite does exactly that).
 std::string make_base_name() {
   static std::atomic<std::uint64_t> counter{0};
-#if MSRP_HAVE_FORK
-  const long pid = static_cast<long>(::getpid());
-#else
-  const long pid = 0;
-#endif
-  return "/msrp." + std::to_string(pid) + "." +
+  return "/msrp." + std::to_string(::getpid()) + "." +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
@@ -56,7 +44,6 @@ void ring_doorbell(std::atomic<std::uint32_t>& word) {
   util::futex_wake_u32(word, 1);
 }
 
-#if defined(__linux__)
 void pin_current_thread(unsigned slot) {
   unsigned ncpu = std::thread::hardware_concurrency();
   if (ncpu == 0) ncpu = 1;
@@ -65,26 +52,11 @@ void pin_current_thread(unsigned slot) {
   CPU_SET(slot % ncpu, &set);
   ::sched_setaffinity(0, sizeof(set), &set);
 }
-#else
-void pin_current_thread(unsigned) {}
-#endif
 
 }  // namespace
 
-bool ShardRouter::supported() {
-#if MSRP_HAVE_FORK
-  return ShmSegment::supported();
-#else
-  return false;
-#endif
-}
-
 ShardRouter::ShardRouter(const Snapshot& oracle, const ShardRouterOptions& opts)
     : opts_(opts), base_name_(make_base_name()) {
-  if (!supported()) {
-    throw std::runtime_error(
-        "shard router: multi-process sharding needs POSIX fork + shared memory");
-  }
   MSRP_REQUIRE(opts_.shards >= 1, "shard router: need at least one shard");
   MSRP_REQUIRE(opts_.ring_capacity >= 2 && std::has_single_bit(opts_.ring_capacity),
                "shard router: ring capacity must be a power of two >= 2");
@@ -178,7 +150,6 @@ void ShardRouter::spawn_worker(unsigned k) {
     return;
   }
 
-#if MSRP_HAVE_FORK
   const ::pid_t pid = ::fork();
   if (pid < 0) throw std::runtime_error("shard router: fork failed");
   if (pid == 0) {
@@ -205,10 +176,6 @@ void ShardRouter::spawn_worker(unsigned k) {
   }
   std::lock_guard<std::mutex> lk(mu_);
   sh.pid = static_cast<long>(pid);
-#else
-  (void)k;
-  throw std::runtime_error("shard router: fork unavailable");
-#endif
 }
 
 void ShardRouter::wait_worker_ready(unsigned k) {
@@ -253,7 +220,6 @@ bool ShardRouter::worker_dead(unsigned k) {
     }
     return false;
   }
-#if MSRP_HAVE_FORK
   long pid;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -272,14 +238,24 @@ bool ShardRouter::worker_dead(unsigned k) {
   std::lock_guard<std::mutex> lk(mu_);
   sh.pid = -1;  // exited and reaped (by us or by the embedder)
   return true;
-#else
-  (void)k;
-  return true;
-#endif
 }
 
 void ShardRouter::respawn_worker(unsigned k) {
   Shard& sh = shards_[k];
+  // SIGKILLs and reaps this seat's worker process, if it has one.
+  const auto kill_process = [&] {
+    long pid;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      pid = sh.pid;
+    }
+    if (pid < 0) return;
+    ::kill(static_cast<::pid_t>(pid), SIGKILL);
+    int status = 0;
+    ::waitpid(static_cast<::pid_t>(pid), &status, 0);
+    std::lock_guard<std::mutex> lk(mu_);
+    sh.pid = -1;
+  };
   // Single-flight by construction: only the collector thread respawns, and
   // worker_dead usually reaped the old pid already. The forced-respawn
   // path (stall deadline, pid-probe fooled by reuse) arrives with the pid
@@ -294,20 +270,7 @@ void ShardRouter::respawn_worker(unsigned k) {
       sh.thr.join();
     }
   } else {
-#if MSRP_HAVE_FORK
-    long pid;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      pid = sh.pid;
-    }
-    if (pid >= 0) {
-      ::kill(static_cast<::pid_t>(pid), SIGKILL);
-      int status = 0;
-      ::waitpid(static_cast<::pid_t>(pid), &status, 0);
-      std::lock_guard<std::mutex> lk(mu_);
-      sh.pid = -1;
-    }
-#endif
+    kill_process();
   }
   // A replacement can die during startup too — a rejected snapshot image,
   // an OOM kill, a crash in attach. Startup death here is cheap to retry,
@@ -324,22 +287,7 @@ void ShardRouter::respawn_worker(unsigned k) {
       break;
     } catch (const std::runtime_error&) {
       // Reap the failed incarnation so the next spawn starts clean.
-#if MSRP_HAVE_FORK
-      if (!opts_.workers_in_process) {
-        long pid;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          pid = sh.pid;
-        }
-        if (pid >= 0) {
-          ::kill(static_cast<::pid_t>(pid), SIGKILL);
-          int status = 0;
-          ::waitpid(static_cast<::pid_t>(pid), &status, 0);
-          std::lock_guard<std::mutex> lk(mu_);
-          sh.pid = -1;
-        }
-      }
-#endif
+      if (!opts_.workers_in_process) kill_process();
       if (opts_.workers_in_process && sh.thr.joinable()) sh.thr.join();
       if (attempt >= kSpawnAttempts) throw;
       std::lock_guard<std::mutex> lk(mu_);
@@ -376,7 +324,6 @@ void ShardRouter::stop_all_workers() noexcept {
     return;
   }
 
-#if MSRP_HAVE_FORK
   // One shared deadline across all pids: every worker was told to stop
   // above, so they wind down concurrently and shutdown costs ~one worker's
   // reaction time, not the sum over shards.
@@ -403,7 +350,6 @@ void ShardRouter::stop_all_workers() noexcept {
     ::waitpid(static_cast<::pid_t>(sh.pid), &status, 0);
     sh.pid = -1;
   }
-#endif
   // ~ShmSegment unmaps and unlinks each owned segment when shards_ dies.
 }
 

@@ -1,25 +1,16 @@
 #include "util/shm.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <stdexcept>
 #include <utility>
 
 #include "util/assert.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MSRP_HAVE_SHM 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define MSRP_HAVE_SHM 0
-#endif
-
 namespace msrp {
-
-#if MSRP_HAVE_SHM
-
-bool ShmSegment::supported() { return true; }
 
 ShmSegment ShmSegment::create(const std::string& name, std::size_t size) {
   MSRP_REQUIRE(size > 0, "shm: cannot create an empty segment");
@@ -84,30 +75,6 @@ void ShmSegment::release() noexcept {
   owner_ = false;
   name_.clear();
 }
-
-#else  // !MSRP_HAVE_SHM
-
-bool ShmSegment::supported() { return false; }
-
-ShmSegment ShmSegment::create(const std::string& name, std::size_t) {
-  throw std::runtime_error("shm: POSIX shared memory unavailable (" + name + ")");
-}
-
-ShmSegment ShmSegment::open(const std::string& name, bool) {
-  throw std::runtime_error("shm: POSIX shared memory unavailable (" + name + ")");
-}
-
-bool ShmSegment::exists(const std::string&) { return false; }
-bool ShmSegment::unlink(const std::string&) { return false; }
-
-void ShmSegment::release() noexcept {
-  data_ = nullptr;
-  size_ = 0;
-  owner_ = false;
-  name_.clear();
-}
-
-#endif
 
 ShmSegment::~ShmSegment() { release(); }
 

@@ -46,11 +46,9 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -75,25 +73,16 @@ constexpr bool kTsanBuild = false;
     if (!fail::kCompiledIn) GTEST_SKIP() << "-DMSRP_FAILPOINTS=ON required"; \
   } while (false)
 
-#define SKIP_WITHOUT_EPOLL()                                         \
-  do {                                                               \
-    if (!net::Server::supported()) GTEST_SKIP() << "epoll required"; \
-  } while (false)
-
 /// No-hang watchdog: chaos tests inject stalls and crashes on purpose, so
 /// a wedged test must die loudly instead of eating the CI job. SIGALRM's
 /// default action terminates the process with a distinctive status.
 class WatchdogEnvironment : public ::testing::Environment {
  public:
   void SetUp() override {
-#if defined(__unix__) || defined(__APPLE__)
     ::alarm(480);
-#endif
   }
   void TearDown() override {
-#if defined(__unix__) || defined(__APPLE__)
     ::alarm(0);
-#endif
   }
 };
 const auto* const kWatchdog =
@@ -167,7 +156,6 @@ TEST(Failpoint, OffSpecDisarms) {
   EXPECT_FALSE(fail::hit("test.off"));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(Failpoint, EnvironmentArmsSites) {
   ::setenv("MSRP_FAILPOINTS", "test.env.a=error*1;test.env.b=error%2", 1);
   fail::load_env();
@@ -178,7 +166,6 @@ TEST(Failpoint, EnvironmentArmsSites) {
   EXPECT_TRUE(fail::hit("test.env.b"));  // every 2nd
   fail::clear_all();
 }
-#endif
 
 // ------------------------------------------------------ deadline primitives
 
@@ -530,7 +517,6 @@ TEST(SnapshotSave, ReplacesExistingFileAtomically) {
   std::remove(path.c_str());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(SnapshotSave, CrashMidSaveLeavesTheOldFileIntact) {
   SKIP_WITHOUT_FAILPOINTS();
   if (kTsanBuild) GTEST_SKIP() << "fork-based; skipped under TSan";
@@ -561,7 +547,6 @@ TEST(SnapshotSave, CrashMidSaveLeavesTheOldFileIntact) {
   std::remove(path.c_str());
   std::remove((path + ".tmp." + std::to_string(pid)).c_str());
 }
-#endif
 
 // --------------------------------------------- registry timeouts and reaps
 
@@ -669,7 +654,6 @@ struct RegistryTestServer {
 };
 
 TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto queries = fx.random_queries(1000, 11);
   const auto want = fx.svc.query_batch(*fx.oracle, queries);
@@ -680,7 +664,6 @@ TEST(NetDeadline, GenerousWireDeadlineAnswersByteForByte) {
 }
 
 TEST(NetDeadline, RetryBudgetExhaustsAsDeadlineError) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::ClientOptions copts = ts.client_options();
@@ -706,7 +689,6 @@ TEST(NetDeadline, RetryBudgetExhaustsAsDeadlineError) {
 }
 
 TEST(NetEviction, IdleConnectionIsEvicted) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   net::ServerOptions sopts;
   sopts.idle_timeout_ms = 120;
@@ -722,7 +704,6 @@ TEST(NetEviction, IdleConnectionIsEvicted) {
 }
 
 TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   const auto queries = fx.random_queries(800, 14);
@@ -746,7 +727,6 @@ TEST(NetChaos, StalledFlushIsEvictedAndResendRecovers) {
 }
 
 TEST(NetChaos, TruncatedReceivesAreRetriedToIdenticalAnswers) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   const auto queries = fx.random_queries(600, 15);
@@ -769,7 +749,6 @@ TEST(NetChaos, TruncatedReceivesAreRetriedToIdenticalAnswers) {
 }
 
 TEST(NetChaos, StalledAnswerFailsEachWorkloadBatchButNotTheConnection) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
@@ -803,7 +782,6 @@ TEST(NetChaos, StalledAnswerFailsEachWorkloadBatchButNotTheConnection) {
 }
 
 TEST(NetChaos, InjectedFailuresAreVisibleInScrapedCounters) {
-  SKIP_WITHOUT_EPOLL();
   SKIP_WITHOUT_FAILPOINTS();
   ChaosFixture fx;
   TestServer ts(fx.svc, fx.oracle);
@@ -846,7 +824,6 @@ TEST(NetChaos, InjectedFailuresAreVisibleInScrapedCounters) {
 }
 
 TEST(NetRegistryChaos, FailedWireRegistrationIsListableWithItsReason) {
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   RegistryTestServer ts(fx.svc, nullptr);
   net::Client client(ts.client_options());
@@ -921,7 +898,6 @@ TYPED_TEST_SUITE(WireWorkload, AllWorkloads, WorkloadName);
 // to the same answers.
 TYPED_TEST(WireWorkload, BusySignalsAndRetryReplaysIdentically) {
   using W = TypeParam;
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto b1 = requests_for<W>(fx, 200, 61);
   const auto b2 = requests_for<W>(fx, 100, 62);
@@ -959,7 +935,6 @@ TYPED_TEST(WireWorkload, BusySignalsAndRetryReplaysIdentically) {
 // DEADLINE, and the connection then serves a clean replay of it.
 TYPED_TEST(WireWorkload, BatchParkedPastItsDeadlineReturnsDeadlineError) {
   using W = TypeParam;
-  SKIP_WITHOUT_EPOLL();
   ChaosFixture fx;
   const auto queries = requests_for<W>(fx, 150, 16);
   const auto want = fx.svc.batch<W>(*fx.oracle, queries);
@@ -978,7 +953,6 @@ TYPED_TEST(WireWorkload, BatchParkedPastItsDeadlineReturnsDeadlineError) {
 
 // ------------------------------------------------------ shard-worker chaos
 
-#if defined(__unix__)
 Snapshot demo_snapshot(Vertex n, std::uint32_t sigma, std::uint64_t seed) {
   Rng rng(seed);
   const Graph g = gen::connected_avg_degree(n, 6.0, rng);
@@ -1050,7 +1024,6 @@ TEST(ShardChaos, CorruptedAttachIsDetectedAndHealedByRespawn) {
   EXPECT_EQ(got, want);
   EXPECT_GE(router.stats().respawns, 2u);  // the corruptor, then the healer
 }
-#endif  // __unix__
 
 }  // namespace
 }  // namespace msrp

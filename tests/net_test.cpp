@@ -8,8 +8,8 @@
 // differential matrix, scalable via MSRP_FUZZ_TENANTS), digest-targeted
 // batches, BUSY admission rejections, unregister lifecycles,
 // resend-on-reconnect across a server restart, and adversarial registry
-// frames. Multi-loop coverage: SO_REUSEPORT listeners and the
-// accept-hand-off fallback serve identically, drain on shutdown, and a
+// frames. Multi-loop coverage: SO_REUSEPORT listeners serve identically,
+// drain on shutdown, refuse a port another server already serves, and a
 // peer RST mid-reply never raises SIGPIPE. Protocol v3 coverage: the three
 // workload opcodes (TOP_K_VITAL, VICKREY_PRICES, K_FAIL) round-trip,
 // reject lying counts / out-of-range k / oversized or duplicated failure
@@ -39,12 +39,10 @@
 #include "service/shard_router.hpp"
 #include "util/rng.hpp"
 
-#if defined(__unix__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -671,13 +669,7 @@ struct TestServer {
   }
 };
 
-#define SKIP_WITHOUT_EPOLL()                                         \
-  do {                                                               \
-    if (!net::Server::supported()) GTEST_SKIP() << "epoll required"; \
-  } while (false)
-
 TEST(NetServer, HelloCarriesOracleIdentity) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -689,7 +681,6 @@ TEST(NetServer, HelloCarriesOracleIdentity) {
 }
 
 TEST(NetServer, AnswersOverTcpMatchInProcessByteForByte) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::vector<Query> queries = fx.random_queries(3000, 1);
   const std::vector<Dist> want = fx.svc.query_batch(*fx.oracle, queries);
@@ -708,7 +699,6 @@ TEST(NetServer, AnswersOverTcpMatchInProcessByteForByte) {
 // in-process path for every serving mode — freshly built, zero-copy mmap
 // snapshot, and multi-process shards.
 TEST(NetServer, EveryServingModeMatchesInProcess) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::vector<Query> queries = fx.random_queries(2000, 2);
   const std::vector<Dist> want = fx.svc.query_batch(*fx.oracle, queries);
@@ -724,7 +714,7 @@ TEST(NetServer, EveryServingModeMatchesInProcess) {
     EXPECT_EQ(client.query_batch(queries), want);
   }
 
-  if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
+  if (!kTsanBuild) {  // multi-process shards
     service::QueryService svc({.threads = 2, .shards = 2});
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
@@ -765,7 +755,6 @@ WorkloadBatches random_workloads(const NetFixture& fx, std::size_t count,
 // The v3 acceptance matrix, wire leg: all three workload opcodes over TCP
 // must be byte-identical to the in-process typed entry points.
 TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 200, 314);
   const auto vwant = fx.svc.vitality_batch(*fx.oracle, wb.vitality);
@@ -790,7 +779,6 @@ TEST(NetServer, WorkloadOpcodesOverTcpMatchInProcess) {
 // mmap snapshot (graph attached for the |F| == 2 tier) and against
 // multi-process shards must produce the same bytes as the built oracle.
 TEST(NetServer, WorkloadOpcodesServeEveryMode) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const WorkloadBatches wb = random_workloads(fx, 150, 315);
   const auto vwant = fx.svc.vitality_batch(*fx.oracle, wb.vitality);
@@ -811,7 +799,7 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
     EXPECT_EQ(client.batch<service::KFailWorkload>(wb.kfail), fwant);
   }
 
-  if (!kTsanBuild && service::ShardRouter::supported()) {  // multi-process shards
+  if (!kTsanBuild) {  // multi-process shards
     service::QueryService svc({.threads = 2, .shards = 2});
     const auto oracle = svc.build(fx.g, fx.sources);
     TestServer ts(svc, oracle);
@@ -826,7 +814,6 @@ TEST(NetServer, WorkloadOpcodesServeEveryMode) {
 // the digest) is a batch error naming attach_graph — and the connection
 // keeps serving the tiers that do work.
 TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   const std::string path = testing::TempDir() + "/net_test_nograph.v2.snap";
   fx.oracle->save(path, service::SnapshotFormat::kV2);
@@ -852,7 +839,6 @@ TEST(NetServer, TwoEdgeKFailWithoutGraphFailsTheBatchNotTheConnection) {
 // Point batches and all three workload kinds pipelined on one connection:
 // replies pair by (request id, opcode), whatever order completions land in.
 TEST(NetServer, PipelinedMixedOpcodesPairByIdAndKind) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -887,7 +873,6 @@ TEST(NetServer, PipelinedMixedOpcodesPairByIdAndKind) {
 }
 
 TEST(NetServer, EmptyBatchAnswersEmpty) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -895,7 +880,6 @@ TEST(NetServer, EmptyBatchAnswersEmpty) {
 }
 
 TEST(NetServer, PipelinedBatchesCollectByIdInAnyOrder) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -917,7 +901,6 @@ TEST(NetServer, PipelinedBatchesCollectByIdInAnyOrder) {
 }
 
 TEST(NetServer, TinyPipelineWindowStillDrainsFullBurst) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   // Window of 2 with a 30-batch burst sent before any read: progress must
   // come from completions pumping the decoder backlog, not from new bytes.
@@ -938,19 +921,7 @@ TEST(NetServer, TinyPipelineWindowStillDrainsFullBurst) {
   }
 }
 
-TEST(NetServer, EdgeTriggeredModeServesIdentically) {
-  SKIP_WITHOUT_EPOLL();
-  NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.edge_triggered = true;
-  TestServer ts(fx.svc, fx.oracle, sopts);
-  net::Client client(ts.client_options());
-  const std::vector<Query> queries = fx.random_queries(2000, 3);
-  EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
-}
-
 TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -970,7 +941,6 @@ TEST(NetServer, InvalidQueryAnswersErrorAndConnectionSurvives) {
 TEST(NetServer, ErrorFrameTextNamesNoSourceLocation) {
   // The ERROR text is the failed check and its message only: no build path
   // and no line number, so it is stable across builds and edits.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -987,7 +957,6 @@ TEST(NetServer, ErrorFrameTextNamesNoSourceLocation) {
 }
 
 TEST(NetServer, ConcurrentClientsGetConsistentAnswers) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
 
@@ -1016,7 +985,6 @@ TEST(NetServer, ConcurrentClientsGetConsistentAnswers) {
 }
 
 TEST(NetServer, ClientDisconnectMidBatchLeavesServerServing) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   {
@@ -1031,7 +999,6 @@ TEST(NetServer, ClientDisconnectMidBatchLeavesServerServing) {
 }
 
 TEST(NetServer, GracefulShutdownDrainsInFlightBatches) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   auto ts = std::make_unique<TestServer>(fx.svc, fx.oracle);
   net::Client client(ts->client_options());
@@ -1059,7 +1026,6 @@ TEST(NetServer, GracefulShutdownDrainsInFlightBatches) {
 }
 
 TEST(NetServer, DrainCompletesPromptlyWhenOutputFlushesLate) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   auto ts = std::make_unique<TestServer>(fx.svc, fx.oracle);
   net::Client client(ts->client_options());
@@ -1083,7 +1049,6 @@ TEST(NetServer, DrainCompletesPromptlyWhenOutputFlushesLate) {
 // ----------------------------------------------------- multi-loop accept ---
 
 TEST(NetServerMultiLoop, ReuseportLoopsServeConcurrentClientsIdentically) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.loops = 3;  // all three listeners share the ephemeral port
@@ -1117,51 +1082,7 @@ TEST(NetServerMultiLoop, ReuseportLoopsServeConcurrentClientsIdentically) {
   EXPECT_EQ(st.protocol_errors, 0u);
 }
 
-TEST(NetServerMultiLoop, AcceptHandoffFallbackServesIdentically) {
-  // force_accept_handoff: loop 0 owns the only listener and posts accepted
-  // sockets to the other loops round-robin — the code path platforms
-  // without SO_REUSEPORT always take. With 3 loops and 6 clients every
-  // loop adopts handed-off connections.
-  SKIP_WITHOUT_EPOLL();
-  NetFixture fx;
-  net::ServerOptions sopts;
-  sopts.loops = 3;
-  sopts.force_accept_handoff = true;
-  TestServer ts(fx.svc, fx.oracle, sopts);
-
-  constexpr unsigned kClients = 6;
-  std::vector<std::string> errors(kClients);
-  std::vector<std::thread> threads;
-  for (unsigned c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      try {
-        net::Client client(ts.client_options());
-        // Pipeline a few batches so handed-off connections exercise the
-        // full submit/complete path, not just one round trip.
-        std::vector<std::vector<Query>> batches;
-        std::vector<std::uint64_t> ids;
-        for (std::size_t b = 0; b < 3; ++b) {
-          batches.push_back(fx.random_queries(250, 4000 + 13 * c + b));
-          ids.push_back(client.send(batches[b]));
-        }
-        for (std::size_t b = 0; b < 3; ++b) {
-          if (client.wait(ids[b]) != fx.svc.query_batch(*fx.oracle, batches[b])) {
-            errors[c] = "answer mismatch";
-            return;
-          }
-        }
-      } catch (const std::exception& ex) {
-        errors[c] = ex.what();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (unsigned c = 0; c < kClients; ++c) EXPECT_EQ(errors[c], "") << "client " << c;
-  EXPECT_EQ(ts.server.stats().connections_accepted, kClients);
-}
-
 TEST(NetServerMultiLoop, GracefulShutdownDrainsEveryLoop) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.loops = 2;
@@ -1190,15 +1111,24 @@ TEST(NetServerMultiLoop, GracefulShutdownDrainsEveryLoop) {
   ts.reset();  // joins every loop thread; hangs here if one missed the drain
 }
 
-TEST(NetServerMultiLoop, EdgeTriggeredMultiLoopServesIdentically) {
-  SKIP_WITHOUT_EPOLL();
+TEST(NetServerMultiLoop, SecondServerCannotJoinAServedPort) {
+  // A SO_REUSEPORT bind alone would join the first server's listener group
+  // on the port, and the kernel would split clients across both servers
+  // without an error.
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.loops = 2;
-  sopts.edge_triggered = true;
   TestServer ts(fx.svc, fx.oracle, sopts);
+  sopts.port = ts.server.port();
+  const std::string where = "127.0.0.1:" + std::to_string(sopts.port);
+  try {
+    net::Server second(fx.svc, fx.oracle, sopts);
+    ADD_FAILURE() << "a second server bound " << where;
+  } catch (const std::runtime_error& ex) {
+    EXPECT_NE(std::string(ex.what()).find(where), std::string::npos) << ex.what();
+  }
   net::Client client(ts.client_options());
-  const std::vector<Query> queries = fx.random_queries(2000, 11);
+  const std::vector<Query> queries = fx.random_queries(500, 12);
   EXPECT_EQ(client.query_batch(queries), fx.svc.query_batch(*fx.oracle, queries));
 }
 
@@ -1247,7 +1177,6 @@ std::promise<void> wedge_pool(service::QueryService& svc) {
 // be byte-identical to a local QueryService building the same graphs.
 // MSRP_FUZZ_TENANTS widens the matrix (2..8 random tenant graphs).
 TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .cache_capacity = 12, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);  // no default oracle: registry only
   net::Client client(ts.client_options());
@@ -1322,7 +1251,6 @@ TEST(NetRegistry, WireRegisteredTenantsMatchInProcessByteForByte) {
 }
 
 TEST(NetRegistry, DefaultOracleServesV1AndDigestTargetedBatches) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   RegistryTestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1342,7 +1270,6 @@ TEST(NetRegistry, DefaultOracleServesV1AndDigestTargetedBatches) {
 }
 
 TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
@@ -1362,7 +1289,6 @@ TEST(NetRegistry, NoDefaultOracleRejectsUntargetedBatches) {
 }
 
 TEST(NetRegistry, UnknownDigestFailsTheBatchNotTheConnection) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   RegistryTestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1382,7 +1308,6 @@ TEST(NetRegistry, UnknownDigestFailsTheBatchNotTheConnection) {
 // Digest-targeted workload batches against a wire-registered tenant: the
 // registry path and the typed opcodes compose.
 TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   RegistryTestServer ts(fx.svc, fx.oracle);
   net::Client client(ts.client_options());
@@ -1421,7 +1346,6 @@ TEST(NetRegistry, WorkloadBatchesTargetRegisteredTenants) {
 }
 
 TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);  // single-oracle server, no registry
   net::Client client(ts.client_options());
@@ -1455,7 +1379,6 @@ TEST(NetRegistry, RegistryDisabledServerStillSpeaksV2Shapes) {
 }
 
 TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
@@ -1490,7 +1413,6 @@ TEST(NetRegistry, UnregisterAndReRegisterOverTheWire) {
 }
 
 TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   net::Client client(ts.client_options());
@@ -1525,7 +1447,6 @@ TEST(NetRegistry, UnregisterWhileInflightDrainsThenRetires) {
 }
 
 TEST(NetRegistry, ResendOnReconnectReplaysPipelinedBatchesAcrossRestart) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   auto tsA = std::make_unique<TestServer>(fx.svc, fx.oracle);
   const std::uint16_t port = tsA->server.port();
@@ -1559,8 +1480,6 @@ TEST(NetRegistry, ResendOnReconnectReplaysPipelinedBatchesAcrossRestart) {
   }
   EXPECT_EQ(client.inflight(), 0u);
 }
-
-#if defined(__unix__)
 
 /// Raw loopback socket for protocol-violation tests (the Client refuses to
 /// send malformed bytes, so speak to the port directly).
@@ -1616,7 +1535,6 @@ struct RawConn {
 };
 
 TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1631,7 +1549,6 @@ TEST(NetServer, GarbageBytesGetErrorFrameThenClose) {
 }
 
 TEST(NetServer, OversizedFrameHeaderGetsErrorFrameThenClose) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   net::ServerOptions sopts;
   sopts.max_frame_bytes = 4096;
@@ -1654,7 +1571,6 @@ TEST(NetServer, OversizedFrameHeaderGetsErrorFrameThenClose) {
 TEST(NetServer, RequestIdZeroIsRejected) {
   // Id 0 means "the connection" in ERROR frames; a batch using it could
   // never be failed unambiguously, so it is a protocol violation up front.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1670,7 +1586,6 @@ TEST(NetServer, RequestIdZeroIsRejected) {
 }
 
 TEST(NetServer, NonBatchFrameFromClientIsRejected) {
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1688,7 +1603,6 @@ TEST(NetServer, UnknownOpcodeProbeGetsErrorFrameThenClose) {
   // server does not know (say, a hypothetical v4 opcode) must be answered
   // with a connection-level ERROR naming the allowed opcodes — never
   // silently dropped, never crashing the dispatch switch.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   RawConn raw(ts.server.port());
@@ -1713,7 +1627,6 @@ TEST(NetServer, LegacyV2FramesAreByteIdenticalUnderV3Server) {
   // and the current HELLO must still announce sources/digest in the
   // original layout (the payload shapes are load-bearing, not just the
   // field values).
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   const std::vector<Query> queries = fx.random_queries(120, 15);
@@ -1746,7 +1659,6 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
   // MSG_NOSIGNAL, so that must surface as a failed send and a closed
   // connection — never a SIGPIPE that kills the process. If the guard
   // regresses, this whole test binary dies here.
-  SKIP_WITHOUT_EPOLL();
   NetFixture fx;
   TestServer ts(fx.svc, fx.oracle);
   {
@@ -1773,7 +1685,6 @@ TEST(NetServer, PeerResetMidReplyDoesNotKillServer) {
 }
 
 TEST(NetRegistry, TruncatedRegisterUploadLeavesNoTenantBehind) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   {
@@ -1805,7 +1716,6 @@ TEST(NetRegistry, TruncatedRegisterUploadLeavesNoTenantBehind) {
 }
 
 TEST(NetRegistry, RegisterRequestIdZeroIsRejected) {
-  SKIP_WITHOUT_EPOLL();
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   RegistryTestServer ts(svc, nullptr);
   RawConn raw(ts.server.port());
@@ -1825,8 +1735,6 @@ TEST(NetRegistry, RegisterRequestIdZeroIsRejected) {
   EXPECT_NE(err.message.find("reserved"), std::string::npos);
   EXPECT_EQ(ts.registry.tenant_count(), 0u);
 }
-
-#endif  // __unix__
 
 }  // namespace
 }  // namespace msrp

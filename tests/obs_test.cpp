@@ -20,12 +20,10 @@
 #include "obs/trace.hpp"
 #include "util/shm.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -187,7 +185,6 @@ TEST(ObsMetrics, ConcurrentRecordAndSnapshotAreClean) {
 // ----- shm counter pages ----------------------------------------------------
 
 TEST(ObsShmPage, SlotsSurviveReopen) {
-  if (!obs::ShmCounterPage::supported()) GTEST_SKIP() << "no POSIX shm";
   const std::string name = "/msrp.obs_test." + std::to_string(::getpid());
   obs::ShmCounterPage owner = obs::ShmCounterPage::create(name);
   auto* slot = owner.find_or_create("worker.0.requests");
@@ -211,7 +208,6 @@ TEST(ObsShmPage, SlotsSurviveReopen) {
 }
 
 TEST(ObsShmPage, CreateUnlinksOnDestruction) {
-  if (!obs::ShmCounterPage::supported()) GTEST_SKIP() << "no POSIX shm";
   const std::string name = "/msrp.obs_test.unlink." + std::to_string(::getpid());
   {
     obs::ShmCounterPage page = obs::ShmCounterPage::create(name);
@@ -221,7 +217,6 @@ TEST(ObsShmPage, CreateUnlinksOnDestruction) {
 }
 
 TEST(ObsShmPage, RejectsOverlongNamesAndFullPages) {
-  if (!obs::ShmCounterPage::supported()) GTEST_SKIP() << "no POSIX shm";
   const std::string name = "/msrp.obs_test.full." + std::to_string(::getpid());
   obs::ShmCounterPage page = obs::ShmCounterPage::create(name);
   EXPECT_EQ(page.find_or_create(std::string(obs::ShmCounterPage::kSlotNameBytes, 'x')),
@@ -366,7 +361,6 @@ TEST(ObsWire, StatsSnapshotRoundTrip) {
 
 // ----- HTTP listener --------------------------------------------------------
 
-#if defined(__unix__) || defined(__APPLE__)
 std::string http_get(const std::string& host, std::uint16_t port, const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return {};
@@ -387,11 +381,8 @@ std::string http_get(const std::string& host, std::uint16_t port, const std::str
   ::close(fd);
   return out;
 }
-#endif
 
 TEST(ObsHttp, ServesMetricsHealthzAndTraces) {
-#if defined(__unix__) || defined(__APPLE__)
-  if (!obs::MetricsHttpServer::supported()) GTEST_SKIP() << "no epoll";
   obs::MetricsRegistry reg;
   reg.counter("server.batches_received")->add(7);
   obs::TraceRing ring(1, 8);
@@ -415,9 +406,6 @@ TEST(ObsHttp, ServesMetricsHealthzAndTraces) {
 
   const std::string missing = http_get(http.host(), http.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos);
-#else
-  GTEST_SKIP() << "POSIX sockets required";
-#endif
 }
 
 }  // namespace

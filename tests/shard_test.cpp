@@ -20,10 +20,8 @@
 #include "service/shard_router.hpp"
 #include "util/shm.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <unistd.h>
-#endif
 
 namespace msrp {
 namespace {
@@ -134,10 +132,7 @@ TEST(SnapshotSliceTest, SliceRoundTripsThroughAttach) {
   EXPECT_EQ(attached.content_digest(), sliced.content_digest());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 TEST(ShardRouterTest, MatchesInProcessOnRandomGraphs) {
-  ASSERT_TRUE(ShardRouter::supported());
   service::QueryService svc({.threads = 2, .min_parallel_batch = 64});
   for (std::uint64_t iter = 0; iter < 6; ++iter) {
     Rng rng(0x5AADD + iter);
@@ -440,8 +435,6 @@ TEST(QueryServiceShardingTest, ShardedAnswersMatchBruteForce) {
   }
   EXPECT_EQ(svc.query_batch(*oracle, queries), want);
 }
-
-#endif  // POSIX
 
 }  // namespace
 }  // namespace msrp

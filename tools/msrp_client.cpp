@@ -188,9 +188,7 @@ double percentile(std::vector<double>& sorted, double p) {
 int main(int argc, char** argv) {
   // The client library sends with MSG_NOSIGNAL, but a server vanishing
   // between poll and send must never kill the tool either way.
-#ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);
-#endif
   std::string connect, batch_path, out_path, register_path;
   std::string workload = service::PointWorkload::kName;
   std::vector<Vertex> reg_sources;

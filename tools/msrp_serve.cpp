@@ -57,12 +57,11 @@
 //                          progress for N ms — a stuck peer cannot pin
 //                          reply buffers forever (0 = never, the default)
 //   --loops N              event-loop threads; each gets its own
-//                          SO_REUSEPORT listener on the shared port (or
-//                          round-robin accept hand-off where REUSEPORT is
-//                          unavailable). Default 1.
+//                          SO_REUSEPORT listener on the shared port.
+//                          Default 1.
 //   --pin-workers          pin event-loop threads and shard worker
 //                          processes to CPUs (thread/worker k -> CPU k mod
-//                          hardware_concurrency); Linux-only
+//                          hardware_concurrency)
 //   --registry             multi-tenant mode: clients register graphs over
 //                          the wire (protocol v2) and target them by
 //                          digest. Works with or without a local oracle
@@ -299,10 +298,6 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
                   std::uint64_t stall_timeout_ms, std::uint64_t failed_ttl_ms,
                   std::uint64_t build_timeout_ms, const std::string& metrics_addr,
                   std::uint64_t trace_sample_n) {
-  if (!net::Server::supported()) {
-    std::fprintf(stderr, "error: --listen needs epoll (Linux)\n");
-    return 1;
-  }
   // Declared before the server so it outlives it: in-flight registrations
   // drain in ~Server, then the registry tears down.
   std::unique_ptr<registry::OracleRegistry> reg;
@@ -329,10 +324,6 @@ int serve_network(service::QueryService& svc, std::shared_ptr<const service::Sna
   }
   std::unique_ptr<obs::MetricsHttpServer> http;
   if (!metrics_addr.empty()) {
-    if (!obs::MetricsHttpServer::supported()) {
-      std::fprintf(stderr, "error: --metrics-addr needs epoll (Linux)\n");
-      return 1;
-    }
     const std::size_t colon = metrics_addr.rfind(':');
     if (colon == std::string::npos || colon == 0) {
       std::fprintf(stderr, "error: --metrics-addr wants ip:port, got '%s'\n",
@@ -418,9 +409,7 @@ int main(int argc, char** argv) {
   // A peer closing its socket mid-reply must surface as EPIPE from the
   // write, not kill the process. Applies to every mode (server loops,
   // shard supervisors, workers) — set before anything can write a socket.
-#ifndef _WIN32
   std::signal(SIGPIPE, SIG_IGN);
-#endif
   // Shard-worker mode first: the supervisor execs this binary with only the
   // worker spec, and the worker must never parse (or require) serving flags.
   for (int i = 1; i < argc; ++i) {
@@ -578,10 +567,6 @@ int main(int argc, char** argv) {
     svc_opts.cache_entry_ttl = std::chrono::milliseconds(cache_ttl_ms);
     svc_opts.cache_refresh_ahead = refresh_ahead;
     if (shards >= 1) {
-      if (!service::ShardRouter::supported()) {
-        std::fprintf(stderr, "error: --shards needs POSIX fork + shared memory\n");
-        return 1;
-      }
       svc_opts.shards = shards;
       svc_opts.shard_worker_argv = {argv[0]};  // workers exec this binary
       svc_opts.shard_backoff = backoff;
